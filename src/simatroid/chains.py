@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .complexes import HypercliqueComplex, all_faces, face_sort_key, incidence, sorted_faces, vertices
 from .fields import Field, Scalar
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, dense_column, sparse_column
 
 
 class ChainVector:
@@ -138,12 +138,24 @@ class BoundaryMatrix:
                            {v: row[j] for v, row in zip(self.row_faces, self.matrix.rows)})
 
 
+def boundary_columns(c: HypercliqueComplex, field: Field, faces: Sequence[int],
+                     rows: Sequence[int] | None = None) -> tuple[tuple[int, ...], list]:
+    """The boundaries of faces as sparse columns in the kernel's form
+    (linalg.sparse_column), row i standing for rows[i].  By default the
+    rows are the faces that occur in these boundaries, in colex order
+    (the numeric order of their masks)."""
+    chains = [boundary(c, f, field)._coeffs for f in faces]
+    if rows is None:
+        rows = sorted({v for ch in chains for v in ch})
+    pos = {v: i for i, v in enumerate(rows)}
+    cols = [sparse_column(field, [(pos[v], a) for v, a in ch.items()]) for ch in chains]
+    return tuple(rows), cols
+
+
 def boundary_matrix(c: HypercliqueComplex, field: Field) -> BoundaryMatrix:
-    rows = tuple(all_faces(c.n, c.k - 1))
+    """A dense view of the boundary columns, over every (k-1)-set of [n]."""
     cols = tuple(sorted_faces(c.faces_k))
-    row_pos = {v: i for i, v in enumerate(rows)}
-    grid = [[field.zero] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        for v, sign in boundary(c, f, field)._coeffs.items():
-            grid[row_pos[v]][j] = sign
-    return BoundaryMatrix(ExactMatrix(grid, field, ncols=len(cols)), rows, cols, field)
+    rows, sparse = boundary_columns(c, field, cols, all_faces(c.n, c.k - 1))
+    dense = [dense_column(field, col, len(rows)) for col in sparse]
+    return BoundaryMatrix(ExactMatrix.from_columns(dense, field, nrows=len(rows)),
+                          rows, cols, field)

@@ -26,9 +26,11 @@ DEFAULT_ORACLE_GROUND = 10
 def is_simplicial_face(c: HypercliqueComplex, v: int) -> bool:
     """True iff exactly one facet strictly contains the (k-1)-set v.
 
-    Decided without enumerating facets: v is simplicial iff the union of
-    its star is a face and is itself a facet; a (k-1)-set with an empty
-    star is a facet in its own right, hence never simplicial.
+    Decided without enumerating facets: v is simplicial iff the union U
+    of its star is a face; a (k-1)-set with an empty star is a facet in
+    its own right, hence never simplicial.  Such a U is always a facet: a
+    vertex x that extended it would make v | {x} a k-face of the star, so
+    x would already lie in U.
     """
     if v.bit_count() != c.k - 1:
         raise ValueError("simpliciality is defined for (k-1)-element faces")
@@ -40,9 +42,7 @@ def is_simplicial_face(c: HypercliqueComplex, v: int) -> bool:
     union = v
     for f in st:
         union |= f
-    if not c.is_face(union):
-        return False
-    return not c.extension_vertices(union)
+    return c.is_face(union)
 
 
 def simplicial_faces(c: HypercliqueComplex) -> list[int]:

@@ -1,16 +1,297 @@
-"""Dense exact linear algebra over a Field.
+"""Exact linear algebra over a Field, on sparse columns.
 
-Deterministic throughout: elimination scans columns left to right and
-always pivots on the first row with a nonzero entry, so identical inputs
-give identical echelon forms, bases, and orderings on every run.
+Rank, solving, nullspaces, row-space membership and fundamental circuits
+all go through one elimination kernel, IncrementalRank, which inserts
+columns one at a time.  A column is held in a sparse form chosen by the
+field (sparse_column builds it):
+
+* GF(2): an int whose bit i is the entry in row i, reduced by xor;
+* GF(p): a dict row -> nonzero residue in [0, p);
+* QQ: a dict row -> nonzero int or Fraction.  Entries stay plain ints
+  while they are integral, which boundary columns (entries +-1) almost
+  always are, so exact arithmetic costs little more than over GF(p).
+
+Deterministic throughout: columns are inserted in the order given, the
+pivot of a column is its lowest nonzero row, and no result depends on
+set or dict iteration order, so identical inputs give identical echelon
+forms, bases, and solutions on every run.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
+
+
+def sparse_column(field: Field, pairs: Iterable[tuple[int, Scalar]]):
+    """The kernel's form of the column with the given (row, field element) pairs."""
+    if field.p == 2:
+        col = 0
+        for i, a in pairs:
+            if a:
+                col |= 1 << i
+        return col
+    if field.p:
+        return {i: a for i, a in pairs if a}
+    return {i: _plain(a) for i, a in pairs if a}
+
+
+def dense_column(field: Field, col, nrows: int) -> tuple[Scalar, ...]:
+    """A column in the kernel's form, or a dict row -> scalar, written out
+    as nrows field scalars."""
+    if isinstance(col, int):
+        return tuple(col >> i & 1 for i in range(nrows))
+    out = [field.zero] * nrows
+    for i, a in col.items():
+        out[i] = field.of(a)
+    return tuple(out)
+
+
+def _plain(a):
+    """An integral rational as an int, anything else unchanged."""
+    return a.numerator if a.denominator == 1 else a
+
+
+def _sub_scaled(dst: dict, f, src: dict, p: int | None) -> None:
+    """dst -= f * src over GF(p) or (p None) the rationals, dropping zeros."""
+    for i, a in src.items():
+        x = dst.get(i, 0) - f * a
+        if p:
+            x %= p
+        if x:
+            dst[i] = x
+        else:
+            del dst[i]
+
+
+def combine(field: Field, terms: Iterable[tuple[object, object]]):
+    """The sum of a * col over the (a, col) terms, cols in the kernel's form."""
+    if field.p == 2:
+        acc = 0
+        for a, col in terms:
+            if field.of(a):
+                acc ^= col
+        return acc
+    acc: dict = {}
+    for a, col in terms:
+        _sub_scaled(acc, -a, col, field.p)
+    return acc
+
+
+# The two insertion loops, one for bitsets and one for dicts.  Each
+# reduces a column by clearing its lowest row while that row is a pivot
+# row; a pivot is lowest at its own row, so the lowest row of the column
+# only rises.  A column left nonzero becomes the pivot of its lowest row,
+# scaled to a one there.  The combination start, unless None, is followed
+# through every step (pivot_combos holds the pivots'); it is only given
+# with a single column.  The combination of the last column that reduced
+# to zero is returned.  The columns passed in are not modified.
+
+def _insert_bits(pivots: dict, pivot_combos: dict, cols, start, p: int):
+    relation = None
+    for col in cols:
+        combo = start
+        while col:
+            low = col & -col
+            got = pivots.get(low)
+            if got is None:
+                pivots[low] = col
+                if combo is not None:
+                    pivot_combos[low] = combo
+                break
+            col ^= got
+            if combo is not None:
+                combo ^= pivot_combos[low]
+        else:
+            relation = combo
+    return relation
+
+
+def _insert_dicts(pivots: dict, pivot_combos: dict, cols, start, p: int | None):
+    relation = None
+    for col in cols:
+        col = dict(col)
+        combo = start
+        while col:
+            row = min(col)
+            got = pivots.get(row)
+            if got is None:
+                lead = col[row]
+                if lead != 1:
+                    col = _divided(col, lead, p)
+                    if combo is not None:
+                        combo = _divided(combo, lead, p)
+                pivots[row] = col
+                if combo is not None:
+                    pivot_combos[row] = combo
+                break
+            f = col[row]
+            _sub_scaled(col, f, got, p)
+            if combo is not None:
+                _sub_scaled(combo, f, pivot_combos[row], p)
+        else:
+            relation = combo
+    return relation
+
+
+def _divided(vec: dict, lead, p: int | None) -> dict:
+    """vec / lead, exactly, over GF(p) or (p None) the rationals."""
+    if p:
+        inv = pow(lead, p - 2, p)
+        return {i: a * inv % p for i, a in vec.items()}
+    if lead == -1:
+        return {i: -a for i, a in vec.items()}
+    return {i: _plain(Fraction(a) / lead) for i, a in vec.items()}
+
+
+class IncrementalRank:
+    """The elimination kernel: grow a span one column at a time.
+
+    A column is given in the form sparse_column builds, or as a dense
+    sequence.  add() returns True iff the column enlarged the span; a
+    rejected column leaves the state untouched.  With track=True every
+    pivot also carries its combination of the added columns, keyed by
+    their labels (non-negative ints), so a rejected column yields its
+    relation to the columns before it (relation(), relation_support()),
+    and any vector in the span its coefficients (express()).
+    """
+
+    def __init__(self, field: Field, track: bool = False):
+        self.field = field
+        self.track = track
+        self._gf2 = field.p == 2
+        self._insert = _insert_bits if self._gf2 else _insert_dicts
+        self._form = int if self._gf2 else dict
+        self._pivots: dict = {}      # pivot row (its bit over GF(2)) -> column, oldest first
+        self._combos: dict = {}      # pivot row -> combination, when tracking
+        self._relation = None
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def add(self, col, label: int = 0) -> bool:
+        """Insert col; did the span grow?  label names col in the
+        combinations when tracking."""
+        return self._grows(col, (1 << label if self._gf2 else {label: 1}) if self.track else None)
+
+    def _grows(self, col, start) -> bool:
+        """Insert col, following start as its combination; did the span grow?"""
+        if not isinstance(col, self._form):
+            col = sparse_column(self.field, enumerate(map(self.field.of, col)))
+        pivots = self._pivots
+        before = len(pivots)
+        self._relation = self._insert(pivots, self._combos, (col,), start, self.field.p)
+        return len(pivots) > before
+
+    def extend(self, cols) -> None:
+        """add() each of cols, given in the kernel's form, in turn; only
+        without tracking."""
+        if self.track:
+            raise ValueError("extend() does not track combinations")
+        self._insert(self._pivots, self._combos, cols, None, self.field.p)
+
+    def pop(self) -> None:
+        """Undo the most recent add() that enlarged the span."""
+        key, _ = self._pivots.popitem()
+        self._combos.pop(key, None)
+
+    def reduce(self, col):
+        """col minus a combination of the span, up to a nonzero factor:
+        zero (falsy) iff col lies in the span.  The state is unchanged."""
+        if self._grows(col, None):
+            residual = next(reversed(self._pivots.values()))
+            self.pop()
+            return residual
+        return 0 if self._gf2 else {}
+
+    def _scalars(self, combo) -> dict[int, Scalar]:
+        if self._gf2:
+            return {j: 1 for j in _bit_indices(combo)}
+        return {j: self.field.of(a) for j, a in combo.items()}
+
+    def relation(self) -> dict[int, Scalar]:
+        """After add() rejected a column (track=True): label -> coefficient,
+        one on that column, of the dependency summing to zero."""
+        return self._scalars(self._relation)
+
+    def relation_support(self) -> int:
+        """The labels with a nonzero coefficient in relation(), as a bitmask."""
+        if self._gf2:
+            return self._relation
+        return sum(1 << j for j in self._relation)
+
+    def express(self, col) -> dict[int, Scalar] | None:
+        """Label -> coefficient with col equal to the sum of coefficient times
+        column, over pivot columns only, or None when col is outside the
+        span (track=True)."""
+        if self._grows(col, 0 if self._gf2 else {}):
+            self.pop()
+            return None
+        return {j: self.field.neg(a) for j, a in self._scalars(self._relation).items()}
+
+
+def _bit_indices(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def column_relations(cols: Sequence,
+                     field: Field) -> tuple[list[int], dict[int, dict[int, Scalar]]]:
+    """Insert cols in order: the indices of the columns that enlarged the
+    span, and for every other column j the relation (coefficient one on j)
+    that writes it in terms of the spanning columns before it."""
+    inc = IncrementalRank(field, track=True)
+    pivots: list[int] = []
+    relations: dict[int, dict[int, Scalar]] = {}
+    for j, col in enumerate(cols):
+        if inc.add(col, j):
+            pivots.append(j)
+        else:
+            relations[j] = inc.relation()
+    return pivots, relations
+
+
+def echelon_rows(pivots: Sequence[int], relations: dict[int, dict[int, Scalar]],
+                 ncols: int, field: Field) -> list[tuple[Scalar, ...]]:
+    """The nonzero rows of the reduced row echelon form, from column_relations.
+
+    Row i belongs to pivot column c_i: one there, and in each other column
+    j minus the coefficient of c_i in j's relation.
+    """
+    rows = []
+    for c in pivots:
+        row = [field.zero] * ncols
+        row[c] = field.one
+        for j, rel in relations.items():
+            if c in rel:
+                row[j] = field.neg(rel[c])
+        rows.append(tuple(row))
+    return rows
+
+
+def solve_columns(cols: Sequence, target, field: Field) -> list[Scalar] | None:
+    """Exact coefficients x with sum_j x[j] * cols[j] == target, or None.
+
+    Columns and target are dense sequences or sparse_column forms.  The
+    solution found is the one on the spanning columns (free coefficients
+    set to zero).
+    """
+    inc = IncrementalRank(field, track=True)
+    for j, col in enumerate(cols):
+        inc.add(col, j)
+    mu = inc.express(target)
+    if mu is None:
+        return None
+    out = [field.zero] * len(cols)
+    for j, x in mu.items():
+        out[j] = x
+    return out
 
 
 class ExactMatrix:
@@ -35,16 +316,6 @@ class ExactMatrix:
         self.nrows = len(self.rows)
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int, field: Field) -> "ExactMatrix":
-        z = field.zero
-        return cls([[z] * ncols for _ in range(nrows)], field, ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int, field: Field) -> "ExactMatrix":
-        z, o = field.zero, field.one
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)], field)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence], field: Field, nrows: int | None = None) -> "ExactMatrix":
         if cols:
             nrows = len(cols[0])
@@ -52,14 +323,8 @@ class ExactMatrix:
             raise ValueError("nrows required for a matrix with no columns")
         return cls([[col[i] for col in cols] for i in range(nrows)], field, ncols=len(cols))
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_columns([list(r) for r in self.rows], self.field, nrows=self.ncols)
 
     def column_submatrix(self, indices: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix([[row[j] for j in indices] for row in self.rows],
@@ -80,53 +345,33 @@ class ExactMatrix:
         return tuple(out)
 
     @cached_property
+    def _relations(self) -> tuple[list[int], dict[int, dict[int, Scalar]]]:
+        return column_relations([self.column(j) for j in range(self.ncols)], self.field)
+
+    @cached_property
     def _rref(self) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
         """Reduced row echelon form: (pivot column indices, reduced rows)."""
-        F = self.field
-        rows = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            sel = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, a) for a in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return tuple(pivots), tuple(tuple(row) for row in rows)
+        pivots, relations = self._relations
+        rows = echelon_rows(pivots, relations, self.ncols, self.field)
+        zero = (self.field.zero,) * self.ncols
+        return tuple(pivots), tuple(rows) + (zero,) * (self.nrows - len(rows))
 
     def rank(self) -> int:
-        return len(self._rref[0])
+        return len(self._relations[0])
 
     def rref(self) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
         return self._rref
 
     def nullspace_basis(self) -> list[tuple[Scalar, ...]]:
         """One basis vector per free column, in ascending free-column order."""
-        F = self.field
-        pivots, rows = self._rref
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [F.zero] * self.ncols
-            vec[f] = F.one
-            for i, c in enumerate(pivots):
-                vec[c] = F.neg(rows[i][f])
-            basis.append(tuple(vec))
-        return basis
+        return [dense_column(self.field, rel, self.ncols)
+                for rel in self._relations[1].values()]
+
+    @cached_property
+    def _row_span(self) -> IncrementalRank:
+        inc = IncrementalRank(self.field)
+        inc.extend([sparse_column(self.field, enumerate(row)) for row in self.rows])
+        return inc
 
     def in_row_space(self, vec: Sequence, field: Field | None = None) -> bool:
         F = self.field
@@ -135,12 +380,7 @@ class ExactMatrix:
         v = [F.of(a) for a in vec]
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        pivots, rows = self._rref
-        for i, c in enumerate(pivots):
-            if v[c] != 0:
-                f = v[c]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, rows[i])]
-        return all(a == 0 for a in v)
+        return not self._row_span.reduce(v)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ExactMatrix) and self.field == other.field
@@ -151,75 +391,3 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field})"
-
-
-class IncrementalRank:
-    """Grow an independent family one vector at a time.
-
-    add() returns True iff the vector enlarged the span; rejected vectors
-    leave the state untouched.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self._pivots: list[tuple[int, list[Scalar]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def reduce(self, vec: Sequence) -> list[Scalar]:
-        F = self.field
-        v = [F.of(a) for a in vec]
-        for lead, pivot in self._pivots:
-            if v[lead] != 0:
-                f = F.div(v[lead], pivot[lead])
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, pivot)]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        v = self.reduce(vec)
-        for i, a in enumerate(v):
-            if a != 0:
-                self._pivots.append((i, v))
-                return True
-        return False
-
-
-def solve_columns(cols: Sequence[Sequence], target: Sequence, field: Field) -> list[Scalar] | None:
-    """Exact coefficients x with sum_j x[j] * cols[j] == target, or None.
-
-    Returns the solution the deterministic elimination finds (free
-    coefficients set to zero).
-    """
-    F = field
-    # pivot invariant: pvec == sum_i pcombo[i] * cols[i]
-    pivots: list[tuple[int, list[Scalar], dict[int, Scalar]]] = []
-    for j, col in enumerate(cols):
-        vec = [F.of(a) for a in col]
-        combo: dict[int, Scalar] = {j: F.one}
-        for lead, pvec, pcombo in pivots:
-            if vec[lead] != 0:
-                f = F.div(vec[lead], pvec[lead])
-                vec = [F.sub(a, F.mul(f, b)) for a, b in zip(vec, pvec)]
-                for i, c in pcombo.items():
-                    combo[i] = F.sub(combo.get(i, F.zero), F.mul(f, c))
-        lead = next((i for i, a in enumerate(vec) if a != 0), None)
-        if lead is not None:
-            pivots.append((lead, vec, combo))
-
-    # residual invariant: vec == target - sum_i mu[i] * cols[i]
-    vec = [F.of(a) for a in target]
-    mu: dict[int, Scalar] = {}
-    for lead, pvec, pcombo in pivots:
-        if vec[lead] != 0:
-            f = F.div(vec[lead], pvec[lead])
-            vec = [F.sub(a, F.mul(f, b)) for a, b in zip(vec, pvec)]
-            for i, c in pcombo.items():
-                mu[i] = F.add(mu.get(i, F.zero), F.mul(f, c))
-    if any(a != 0 for a in vec):
-        return None
-    out = [F.zero] * len(cols)
-    for i, c in mu.items():
-        out[i] = c
-    return out

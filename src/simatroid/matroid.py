@@ -1,10 +1,12 @@
 """The linear matroid of boundary columns of a complex's k-faces.
 
-Ground set: the k-faces in lexicographic order.  Rank queries are cached
-per subset; over GF(2) columns are packed into machine integers and
-reduced by xor, other fields use generic exact elimination.  Restriction
-to a subset of the ground set is just a rank query on that subset, so
-every "residual matroid" question below is phrased through rank_of.
+Ground set: the k-faces in lexicographic order.  Their boundary columns
+are built once, sparse, over the (k-1)-faces that occur, and every rank,
+circuit and cocircuit question is answered by the elimination kernel of
+linalg on those columns.  Rank queries are cached per subset.
+Restriction to a subset of the ground set is just a rank query on that
+subset, so every "residual matroid" question below is phrased through
+rank_of.
 """
 
 from __future__ import annotations
@@ -12,17 +14,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .chains import BoundaryMatrix, ChainVector, boundary, boundary_matrix, coboundary
+from .chains import (BoundaryMatrix, ChainVector, boundary, boundary_columns, boundary_matrix,
+                     coboundary)
 from .complexes import HypercliqueComplex, all_faces, face_sort_key, full_complex, sorted_faces, vertices
 from .errors import GuardExceeded
 from .fields import Field, Scalar
-from .linalg import IncrementalRank
+from .linalg import (IncrementalRank, _bit_indices, column_relations, combine, dense_column,
+                     echelon_rows, sparse_column)
 
 DEFAULT_BRUTE_GROUND = 22
 DEFAULT_DUALITY_N = 7
 DEFAULT_SPAN_LIMIT = 1 << 22
+DEFAULT_DUALITY_SPAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,23 +45,8 @@ class SimplicialMatroid:
         self.field = field
         self.ground: tuple[int, ...] = tuple(sorted_faces(complex.faces_k))
         self._ground_set = frozenset(self.ground)
-        rows = all_faces(complex.n, complex.k - 1)
-        row_pos = {v: i for i, v in enumerate(rows)}
-        self._nrows = len(rows)
-        self._gf2 = field.p == 2
-        self._cols: dict[int, object] = {}
-        for f in self.ground:
-            chain = boundary(complex, f, field)
-            if self._gf2:
-                col = 0
-                for v in chain.support:
-                    col |= 1 << row_pos[v]
-            else:
-                col = [field.zero] * self._nrows
-                for v, a in chain.items_lex():
-                    col[row_pos[v]] = a
-                col = tuple(col)
-            self._cols[f] = col
+        _, cols = boundary_columns(complex, field, self.ground)
+        self._cols = dict(zip(self.ground, cols))
         self._rank_cache: dict[frozenset[int], int] = {}
 
     def __repr__(self) -> str:
@@ -82,23 +72,10 @@ class SimplicialMatroid:
         cached = self._rank_cache.get(fs)
         if cached is not None:
             return cached
-        cols = [self._cols[f] for f in sorted(fs, key=face_sort_key)]
-        if self._gf2:
-            piv: dict[int, int] = {}
-            for v in cols:
-                while v:
-                    low = v & -v
-                    p = piv.get(low)
-                    if p is None:
-                        piv[low] = v
-                        break
-                    v ^= p
-            r = len(piv)
-        else:
-            inc = IncrementalRank(self.field)
-            for col in cols:
-                inc.add(col)
-            r = inc.rank
+        cols = self._cols
+        inc = IncrementalRank(self.field)
+        inc.extend([cols[f] for f in sorted(fs)])
+        r = inc.rank
         self._rank_cache[fs] = r
         return r
 
@@ -153,67 +130,29 @@ class SimplicialMatroid:
                 f"circuit enumeration over {len(g)} elements exceeds the guard of {max_ground}")
         if max_size is None:
             max_size = len(g)
-        found: set[frozenset[int]] = set()
         if max_size < 1 or not g:
             return []
-        if self._gf2:
-            self._circuits_gf2(found, max_size)
-        else:
-            self._circuits_generic(found, max_size)
-        return sorted(found, key=lambda c: (len(c), sorted(map(face_sort_key, c))))
-
-    def _circuits_gf2(self, found: set, max_size: int) -> None:
-        g = self.ground
-        shift = self._nrows
-        rowmask = (1 << shift) - 1
-        cols = [self._cols[f] | (1 << (shift + i)) for i, f in enumerate(g)]
-        piv: dict[int, int] = {}
+        found: set[int] = set()     # circuits as masks over ground indices
+        cols = [self._cols[f] for f in g]
+        inc = IncrementalRank(self.field, track=True)
 
         def dfs(start: int, size: int) -> None:
             for i in range(start, len(g)):
-                v = cols[i]
-                low = 0
-                while v & rowmask:
-                    real = v & rowmask
-                    low = real & -real
-                    p = piv.get(low)
-                    if p is None:
-                        break
-                    v ^= p
-                if not (v & rowmask):
-                    tags = v >> shift
-                    found.add(frozenset(g[j] for j in _bit_indices(tags)))
-                elif size + 1 < max_size:
-                    piv[low] = v
+                if not inc.add(cols[i], i):
+                    found.add(inc.relation_support())
+                    continue
+                if size + 1 < max_size:
                     dfs(i + 1, size + 1)
-                    del piv[low]
+                inc.pop()
 
         dfs(0, 0)
+        circuits = [frozenset(g[j] for j in _bit_indices(mask)) for mask in found]
+        return sorted(circuits, key=lambda c: (len(c), sorted(map(face_sort_key, c))))
 
-    def _circuits_generic(self, found: set, max_size: int) -> None:
-        F = self.field
-        g = self.ground
-        pivots: list[tuple[int, list[Scalar], dict[int, Scalar]]] = []
-
-        def dfs(start: int, size: int) -> None:
-            for i in range(start, len(g)):
-                vec = list(self._cols[g[i]])
-                combo: dict[int, Scalar] = {i: F.one}
-                for lead, pvec, pcombo in pivots:
-                    if vec[lead] != 0:
-                        f = F.div(vec[lead], pvec[lead])
-                        vec = [F.sub(a, F.mul(f, b)) for a, b in zip(vec, pvec)]
-                        for j, c in pcombo.items():
-                            combo[j] = F.sub(combo.get(j, F.zero), F.mul(f, c))
-                lead = next((idx for idx, a in enumerate(vec) if a != 0), None)
-                if lead is None:
-                    found.add(frozenset(g[j] for j, c in combo.items() if c != 0))
-                elif size + 1 < max_size:
-                    pivots.append((lead, vec, combo))
-                    dfs(i + 1, size + 1)
-                    pivots.pop()
-
-        dfs(0, 0)
+    def is_dependency(self, chain: ChainVector) -> bool:
+        """Does the combination of boundary columns with these coefficients vanish?"""
+        self._check_subset(chain.support)
+        return not combine(self.field, [(a, self._cols[f]) for f, a in chain.items_lex()])
 
     def cocircuit_space_basis(self) -> list[ChainVector]:
         """Greedy independent subfamily of the nonzero (k-1)-set stars, lex order."""
@@ -231,57 +170,87 @@ class SimplicialMatroid:
         return basis
 
 
-def _bit_indices(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _minimal_supports(basis: Sequence[Sequence[Scalar]], supports: Iterable[int],
+                      field: Field) -> list[int]:
+    """The inclusion-minimal masks among supports of nonzero vectors in the span V of basis.
+
+    The vectors of V that vanish outside a support s form a subspace of
+    dimension dim V minus the rank of basis restricted to the coordinates
+    outside s.  s is minimal iff that subspace is a line, that is iff the
+    restricted basis has rank dim V - 1; that needs at least dim V - 1
+    coordinates outside s.
+    """
+    rows = [sparse_column(field, enumerate(b)) for b in basis]
+    width = len(basis[0]) if basis else 0
+    out = []
+    for s in supports:
+        if width - s.bit_count() < len(rows) - 1:
+            continue
+        if field.p == 2:
+            restricted = [row & ~s for row in rows]
+        else:
+            restricted = [{i: a for i, a in row.items() if not s >> i & 1} for row in rows]
+        inc = IncrementalRank(field)
+        inc.extend(restricted)
+        if inc.rank == len(rows) - 1:
+            out.append(s)
+    return out
 
 
-def _minimal_supports(masks: Iterable[int]) -> list[int]:
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    minimal: list[int] = []
-    for m in ordered:
-        if not any(acc & m == acc for acc in minimal):
-            minimal.append(m)
-    return minimal
+def _slices(vec: Sequence[int], p: int) -> list[int]:
+    """A vector over GF(p) as p masks, mask a marking the coordinates equal to a."""
+    masks = [0] * p
+    for j, a in enumerate(vec):
+        masks[a] |= 1 << j
+    return masks
 
 
-def _iter_span_vectors(basis: Sequence[Sequence[Scalar]], field: Field, width: int):
-    """Every vector in the linear span, the zero vector included, as lists."""
-    if not basis:
-        yield [field.zero] * width
-        return
+def _coset_supports(offset: Sequence[int], basis: Sequence[Sequence[int]],
+                   p: int) -> Iterator[int]:
+    """The support mask of every vector of offset + span(basis) over GF(p).
 
-    def rec(i: int, acc: list):
-        if i == len(basis):
-            yield acc
+    Vectors are held as their p coordinate-class masks, so adding a basis
+    vector costs p times its number of distinct entries in mask
+    operations, whatever the width.
+    """
+    parts = [[(a, m) for a, m in enumerate(_slices(b, p)) if m] for b in basis]
+    full = (1 << len(offset)) - 1
+
+    def rec(i: int, vec: list[int]) -> Iterator[int]:
+        if i == len(parts):
+            yield full & ~vec[0]
             return
-        cur = acc
-        yield from rec(i + 1, cur)
-        for _ in range(1, field.p):
-            cur = [field.add(a, b) for a, b in zip(cur, basis[i])]
-            yield from rec(i + 1, cur)
+        yield from rec(i + 1, vec)
+        for _ in range(1, p):
+            shifted = [0] * p
+            for a, m in parts[i]:
+                for x in range(p):
+                    shifted[(x + a) % p] |= vec[x] & m
+            vec = shifted
+            yield from rec(i + 1, vec)
 
-    yield from rec(0, [field.zero] * width)
+    yield from rec(0, _slices(offset, p))
 
 
 def _span_supports(basis: Sequence[Sequence[Scalar]], field: Field, limit: int) -> set[int]:
+    """The supports of the nonzero vectors of the span.  Scaling keeps a
+    support, so only vectors whose first nonzero coefficient is one are
+    visited: basis[i] plus the span of the basis vectors after it."""
     if field.p is None:
         raise ValueError("span enumeration needs a finite field")
     if field.p ** len(basis) > limit:
         raise GuardExceeded(
             f"span of dimension {len(basis)} over {field} exceeds the enumeration guard")
-    width = len(basis[0]) if basis else 0
     out: set[int] = set()
-    for vec in _iter_span_vectors(basis, field, width):
-        m = 0
-        for i, a in enumerate(vec):
-            if a != 0:
-                m |= 1 << i
-        if m:
-            out.add(m)
+    for i, b in enumerate(basis):
+        out.update(_coset_supports(b, basis[i + 1:], field.p))
     return out
+
+
+def _minimal_support_sets(m: SimplicialMatroid, basis: list, limit: int) -> set[frozenset[int]]:
+    supports = _span_supports(basis, m.field, limit)
+    return {frozenset(m.ground[i] for i in _bit_indices(s))
+            for s in _minimal_supports(basis, supports, m.field)}
 
 
 def matroid_circuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:
@@ -292,21 +261,18 @@ def matroid_circuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_
     subset brute force.
     """
     if m.field.is_finite:
-        basis = m.boundary_matrix.matrix.nullspace_basis()
-        supports = _span_supports(basis, m.field, limit)
-        return {frozenset(m.ground[i] for i in _bit_indices(s))
-                for s in _minimal_supports(supports)}
+        _, relations = column_relations([m._cols[f] for f in m.ground], m.field)
+        basis = [dense_column(m.field, rel, len(m.ground)) for rel in relations.values()]
+        return _minimal_support_sets(m, basis, limit)
     return set(m.circuits_brute())
 
 
 def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:
     """The full cocircuit family: minimal supports of the row space."""
     if m.field.is_finite:
-        _, rows = m.boundary_matrix.matrix.rref()
-        basis = [r for r in rows if any(a != 0 for a in r)]
-        supports = _span_supports(basis, m.field, limit)
-        return {frozenset(m.ground[i] for i in _bit_indices(s))
-                for s in _minimal_supports(supports)}
+        pivots, relations = column_relations([m._cols[f] for f in m.ground], m.field)
+        basis = echelon_rows(pivots, relations, len(m.ground), m.field)
+        return _minimal_support_sets(m, basis, limit)
     if 2 ** len(m.ground) > limit:
         raise GuardExceeded("cocircuit enumeration over the rationals exceeds the guard")
     out = set()
@@ -319,16 +285,23 @@ def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPA
 
 def verify_full_duality(n: int, k: int, field: Field,
                         max_n: int = DEFAULT_DUALITY_N,
-                        limit: int = DEFAULT_SPAN_LIMIT) -> bool:
+                        limit: int = DEFAULT_DUALITY_SPAN) -> bool:
     """Complementation maps the circuits of the full (n-k)-matroid onto the
     cocircuits of the full k-matroid on [n].  Both families are computed
-    exhaustively and compared as sets."""
+    exhaustively and compared as sets; over a finite field both spans are
+    sized from the ranks first, and the check refuses if either exceeds
+    limit vectors."""
     if not (2 <= k <= n - 2):
         raise ValueError(f"duality check needs 2 <= k <= n - 2, got n={n}, k={k}")
     if n > max_n:
         raise GuardExceeded(f"duality check for n={n} exceeds the guard of {max_n}")
     m_k = SimplicialMatroid(full_complex(n, k), field)
     m_nk = SimplicialMatroid(full_complex(n, n - k), field)
+    if field.is_finite:
+        dim = max(len(m_nk.ground) - m_nk.rank, m_k.rank)
+        if field.p ** dim > limit:
+            raise GuardExceeded(f"duality check needs a span of {field.p}^{dim} = "
+                                f"{field.p ** dim} vectors, above the limit of {limit}")
     full_mask = (1 << n) - 1
     circuits = matroid_circuits_exhaustive(m_nk, limit)
     cocircuits = matroid_cocircuits_exhaustive(m_k, limit)

@@ -15,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chains import ChainVector, boundary
-from .complexes import HypercliqueComplex, build_complex, face_of, face_sort_key, vertices
+from .chains import ChainVector, boundary, boundary_columns
+from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_key, sorted_faces,
+                        vertices)
 from .elimination import DPerfectCertificate, simplicial_faces, verify_dperfect
 from .errors import CertificateError, GuardExceeded
 from .fields import GF2, Field, Scalar
-from .linalg import ExactMatrix, IncrementalRank, solve_columns
-from .matroid import (DEFAULT_SPAN_LIMIT, SimplicialMatroid, _iter_span_vectors,
+from .linalg import (IncrementalRank, _bit_indices, column_relations, dense_column,
+                     solve_columns, sparse_column)
+from .matroid import (DEFAULT_SPAN_LIMIT, SimplicialMatroid, _coset_supports,
                       matroid_circuits_exhaustive)
 
 DEFAULT_SUBSET_LIMIT = 1 << 16
@@ -30,14 +32,25 @@ DEFAULT_SUBSET_LIMIT = 1 << 16
 def is_triangulable(m: SimplicialMatroid) -> bool:
     """Do the boundaries of the (k+1)-faces span the circuit space?"""
     nullity = len(m.ground) - m.rank
+    _, cols = _apex_columns(m)
     inc = IncrementalRank(m.field)
-    got = 0
-    for sc in m.small_circuits():
-        if inc.add(sc.vector.dense(m.ground)):
-            got += 1
-            if got == nullity:
-                return True
-    return got == nullity
+    for col in cols:
+        if inc.rank == nullity:
+            break
+        inc.add(col)
+    return inc.rank == nullity
+
+
+def _apex_columns(m: SimplicialMatroid) -> tuple[list[int], list]:
+    """The (k+1)-faces in lex order, and their boundaries as sparse
+    columns over the ground set."""
+    apexes = sorted_faces(m.complex.skeleton(m.complex.k + 1))
+    return apexes, boundary_columns(m.complex, m.field, apexes, m.ground)[1]
+
+
+def _nullspace(cols: list, field: Field) -> list[tuple[Scalar, ...]]:
+    return [dense_column(field, rel, len(cols))
+            for rel in column_relations(cols, field)[1].values()]
 
 
 def circuit_vector(m: SimplicialMatroid, circuit) -> ChainVector:
@@ -47,10 +60,7 @@ def circuit_vector(m: SimplicialMatroid, circuit) -> ChainVector:
     faces = sorted(m._check_subset(circuit), key=face_sort_key)
     if not faces:
         raise ValueError("a circuit is nonempty")
-    bm = m.boundary_matrix
-    idx = {f: j for j, f in enumerate(bm.col_faces)}
-    cols = [bm.matrix.column(idx[f]) for f in faces]
-    kernel = ExactMatrix.from_columns(cols, m.field, nrows=len(bm.row_faces)).nullspace_basis()
+    kernel = _nullspace([m._cols[f] for f in faces], m.field)
     if len(kernel) != 1 or any(m.field.is_zero(x) for x in kernel[0]):
         raise ValueError("not a circuit of this matroid")
     scale = m.field.inv(kernel[0][0])
@@ -116,8 +126,7 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
     if target.is_zero():
         raise ValueError("target must be a nonzero dependency")
     verify_dperfect(m.complex, field, cert)
-    bm = m.boundary_matrix
-    if any(not field.is_zero(x) for x in bm.matrix.mul_vector(target.dense(m.ground))):
+    if not m.is_dependency(target):
         raise ValueError("target is not a dependency among the k-faces")
     stage = {}
     for i, cocir in enumerate(cert.cocircuits):
@@ -150,34 +159,31 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
     return result
 
 
-def _decomposable_over_finite(m: SimplicialMatroid, z: ChainVector, apex_cols: list,
+def _decomposable_over_finite(m: SimplicialMatroid, target, apex_cols: list,
                               apexes: list[int], want: int, span_limit: int) -> bool:
     field = m.field
-    target = list(z.dense(m.ground))
     particular = solve_columns(apex_cols, target, field)
     if particular is None:
         return False
-    kernel = ExactMatrix.from_columns(apex_cols, field, nrows=len(m.ground)).nullspace_basis()
+    kernel = _nullspace(apex_cols, field)
     if field.p is not None and field.p ** len(kernel) > span_limit:
         raise GuardExceeded(
             f"{field.p}^{len(kernel)} candidate decompositions exceed the limit of {span_limit}")
-    for shift in _iter_span_vectors(kernel, field, len(apexes)):
+    for support in _coset_supports(particular, kernel, field.p):
         cover = 0
-        for a, x, s in zip(apexes, particular, shift):
-            if not field.is_zero(field.add(x, s)):
-                cover |= a
+        for j in _bit_indices(support):
+            cover |= apexes[j]
         if cover == want:
             return True
     return False
 
 
-def _decomposable_over_rationals(m: SimplicialMatroid, z: ChainVector, apex_cols: list,
+def _decomposable_over_rationals(m: SimplicialMatroid, target, apex_cols: list,
                                  apexes: list[int], want: int, subset_limit: int) -> bool:
     if 2 ** len(apexes) > subset_limit:
         raise GuardExceeded(
             f"2^{len(apexes)} apex subsets exceed the limit of {subset_limit}")
     field = m.field
-    target = list(z.dense(m.ground))
     for pick in range(1, 1 << len(apexes)):
         chosen = [j for j in range(len(apexes)) if pick >> j & 1]
         cover = 0
@@ -189,7 +195,7 @@ def _decomposable_over_rationals(m: SimplicialMatroid, z: ChainVector, apex_cols
         sol = solve_columns(cols, target, field)
         if sol is None:
             continue
-        kernel = ExactMatrix.from_columns(cols, field, nrows=len(m.ground)).nullspace_basis()
+        kernel = _nullspace(cols, field)
         # Over an infinite field the solution coset avoids every coordinate
         # hyperplane unless some coordinate vanishes identically on it.
         if all(not field.is_zero(sol[j]) or any(not field.is_zero(vec[j]) for vec in kernel)
@@ -215,19 +221,17 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid,
     circuits = matroid_circuits_exhaustive(m)
     if not circuits:
         return True
-    skeleton = sorted(m.complex.skeleton(m.complex.k + 1), key=face_sort_key)
-    dense = {}
+    skeleton, skeleton_cols = _apex_columns(m)
+    col_of = dict(zip(skeleton, skeleton_cols))
+    pos = {f: i for i, f in enumerate(m.ground)}
     for circuit in circuits:
         want = 0
         for f in circuit:
             want |= f
         apexes = [x for x in skeleton if x & want == x]
-        cols = []
-        for x in apexes:
-            if x not in dense:
-                dense[x] = list(boundary(m.complex, x, m.field).dense(m.ground))
-            cols.append(dense[x])
+        cols = [col_of[x] for x in apexes]
         z = circuit_vector(m, circuit)
+        z = sparse_column(m.field, [(pos[f], a) for f, a in z.items_lex()])
         if m.field.is_finite:
             ok = _decomposable_over_finite(m, z, cols, apexes, want, span_limit)
         else:

@@ -3,6 +3,7 @@ six-point configuration, and the seeded random corpora."""
 
 from __future__ import annotations
 
+import random
 from functools import cache
 
 from simatroid import face, gen_random, instance_complex
@@ -66,3 +67,14 @@ def complexes_of(instances):
 
 def seq_masks(pairs):
     return [face(*p) for p in pairs]
+
+
+def stacked_faces(n: int, k: int, seed: int) -> list[tuple[int, ...]]:
+    """Start from the k-face 1..k; cone each new vertex over the boundary of
+    a seeded choice of an earlier k-face.  A complete peel exists."""
+    rng = random.Random(seed)
+    faces = [tuple(range(1, k + 1))]
+    for v in range(k + 1, n + 1):
+        base = rng.choice(faces)
+        faces.extend(tuple(sorted(set(base) - {x} | {v})) for x in base)
+    return faces

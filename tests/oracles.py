@@ -1,0 +1,88 @@
+"""Dense reference algorithms, kept apart from the program as test oracles.
+
+These are the straightforward versions the program once ran: Gauss-Jordan
+elimination over dense rows, and minimal supports found by comparing
+every support with every minimal one found before it; and facets found
+by testing every vertex subset.  They are slow but plain, so the sparse
+kernel and its callers are checked against them.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterable, Sequence
+
+
+def dense_rref(rows: Sequence[Sequence], field) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Reduced row echelon form of a dense matrix: (pivot columns, reduced rows).
+
+    Columns are scanned left to right and the pivot is the first row at or
+    below the current one with a nonzero entry.
+    """
+    F = field
+    rows = [[F.of(a) for a in r] for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, a) for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), tuple(tuple(row) for row in rows)
+
+
+def dense_rank(rows: Sequence[Sequence], field) -> int:
+    return len(dense_rref(rows, field)[0])
+
+
+def dense_nullspace(rows: Sequence[Sequence], field, ncols: int) -> list[tuple]:
+    """One basis vector per free column, ascending: 1 there, minus the
+    reduced entries at the pivot columns."""
+    F = field
+    pivots, reduced = dense_rref(rows, field)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [F.zero] * ncols
+        vec[f] = F.one
+        for i, c in enumerate(pivots):
+            vec[c] = F.neg(reduced[i][f])
+        basis.append(tuple(vec))
+    return basis
+
+
+def transpose(cols: Sequence[Sequence], nrows: int) -> list[list]:
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
+def minimal_supports(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks, smallest first, by pairwise comparison."""
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    minimal: list[int] = []
+    for m in ordered:
+        if not any(acc & m == acc for acc in minimal):
+            minimal.append(m)
+    return minimal
+
+
+def brute_facets(c) -> set[int]:
+    """The maximal faces of a complex, by testing every vertex subset."""
+    faces = set()
+    for mask in range(1, 1 << c.n):
+        verts = [i for i in range(c.n) if mask >> i & 1]
+        if len(verts) < c.k or all(sum(1 << i for i in sub) in c.faces_k
+                                   for sub in combinations(verts, c.k)):
+            faces.add(mask)
+    return {f for f in faces
+            if not any(f | 1 << i in faces for i in range(c.n) if not f >> i & 1)}

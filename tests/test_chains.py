@@ -56,7 +56,7 @@ def test_boundary_matrix_grid():
     assert [vertices(f) for f in bm.col_faces] == [(1, 2), (1, 3), (2, 3), (3, 4)]
     for i, v in enumerate(bm.row_faces):
         for j, f in enumerate(bm.col_faces):
-            assert bm.matrix.entry(i, j) == incidence(v, f)
+            assert bm.matrix.rows[i][j] == incidence(v, f)
     assert bm.column_chain(face(1, 2)) == boundary(c, face(1, 2), QQ)
     assert bm.row_chain(face(3)) == coboundary(c, face(3), QQ)
 

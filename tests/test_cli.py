@@ -161,6 +161,10 @@ def test_dual_check():
     assert code == 2 and "duality inconclusive" in text
     code, text = run_command(["dual-check", "--n", "4", "--k", "9"])
     assert code == 1
+    # two spans of 2^20 vectors: refused before either is enumerated
+    code, text = run_command(["dual-check", "--n", "7", "--k", "4"])
+    assert code == 2 and text.splitlines()[-1] == (
+        "note duality check needs a span of 2^20 = 1048576 vectors, above the limit of 65536")
 
 
 def test_gen_random_matches_library():

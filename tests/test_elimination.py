@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, seq_masks
+from conftest import EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, seq_masks, stacked_faces
+from oracles import brute_facets
 
 from simatroid import (CertificateError, DPerfectCertificate, GF2, GuardExceeded,
                       HypercliqueComplex, QQ,
@@ -36,9 +37,13 @@ def peel_oracle(c):
 
 
 def test_simplicial_face_against_facet_count():
-    for c in small_complexes(10, 6, 2, 20) + small_complexes(10, 6, 3, 60, "11/20"):
+    stacked = [build_complex(n, k, stacked_faces(n, k, seed))
+               for n, k, seed in ((7, 3, 1), (9, 3, 2), (12, 3, 3), (8, 4, 4), (12, 4, 5))]
+    for c in (small_complexes(10, 6, 2, 20) + small_complexes(10, 6, 3, 60, "11/20")
+              + small_complexes(8, 7, 4, 300, "3/5") + stacked):
+        facets = brute_facets(c)
         for v in all_faces(c.n, c.k - 1):
-            containing = [f for f in c.facets if f & v == v and f != v]
+            containing = [f for f in facets if f & v == v and f != v]
             assert is_simplicial_face(c, v) == (len(containing) == 1)
 
 

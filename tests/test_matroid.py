@@ -2,11 +2,14 @@ import itertools
 import random
 
 import pytest
+from oracles import minimal_supports
 
 from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, boundary_matrix,
                       build_complex, face, full_complex, gen_random, instance_complex,
                       matroid_circuits_exhaustive, matroid_cocircuits_exhaustive,
                       verify_full_duality)
+from simatroid.linalg import column_relations, dense_column, echelon_rows
+from simatroid.matroid import _minimal_supports, _span_supports
 
 
 def random_matroid(seed, n, k, field, density="1/2"):
@@ -146,3 +149,26 @@ def test_duality_validation():
         verify_full_duality(8, 3, GF2)
     assert verify_full_duality(5, 2, GF2)
     assert verify_full_duality(4, 2, QQ)
+
+
+def test_minimal_supports_match_pairwise_oracle():
+    """Every (n, k, field) of the complement-duality acceptance check."""
+    for n in range(4, 7):
+        for k in range(2, n - 1):
+            for field in (GF2, GF(3)):
+                for kk in (k, n - k):
+                    m = SimplicialMatroid(full_complex(n, kk), field)
+                    width = len(m.ground)
+                    pivots, relations = column_relations([m._cols[f] for f in m.ground], field)
+                    bases = (echelon_rows(pivots, relations, width, field),
+                             [dense_column(field, rel, width) for rel in relations.values()])
+                    for basis in bases:
+                        supports = _span_supports(basis, field, 1 << 22)
+                        assert (sorted(_minimal_supports(basis, supports, field))
+                                == sorted(minimal_supports(supports)))
+
+
+def test_duality_guard_sizes_both_spans_first():
+    with pytest.raises(GuardExceeded, match=r"2\^20 = 1048576 vectors, above the limit of 65536"):
+        verify_full_duality(7, 4, GF2)
+    assert verify_full_duality(6, 3, GF(3))   # 3^10 = 59049 vectors, inside the limit
