@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import HypercliqueComplex, all_faces, face_sort_key, incidence, sorted_faces, vertices
+from .complexes import HypercliqueComplex, all_faces, sorted_faces, vertices
 from .fields import Field, Scalar
 from .linalg import ExactMatrix, dense_column, sparse_column
 
@@ -59,11 +59,6 @@ class ChainVector:
             out[f] = F.add(out.get(f, F.zero), a)
         return ChainVector(F, out)
 
-    def scale(self, a) -> "ChainVector":
-        F = self.field
-        a = F.of(a)
-        return ChainVector(F, {f: F.mul(a, c) for f, c in self._coeffs.items()})
-
     def add_scaled(self, other: "ChainVector", a) -> "ChainVector":
         self._require_same_field(other)
         F = self.field
@@ -72,14 +67,6 @@ class ChainVector:
         for f, c in other._coeffs.items():
             out[f] = F.add(out.get(f, F.zero), F.mul(a, c))
         return ChainVector(F, out)
-
-    def neg(self) -> "ChainVector":
-        F = self.field
-        return ChainVector(F, {f: F.neg(c) for f, c in self._coeffs.items()})
-
-    def restrict(self, keep: Iterable[int]) -> "ChainVector":
-        keep = set(keep)
-        return ChainVector(self.field, {f: c for f, c in self._coeffs.items() if f in keep})
 
     def dense(self, order: Sequence[int]) -> tuple[Scalar, ...]:
         return tuple(self.coeff(f) for f in order)
@@ -109,15 +96,6 @@ def boundary(c: HypercliqueComplex, f: int, field: Field) -> ChainVector:
     return ChainVector(field, coeffs)
 
 
-def coboundary(c: HypercliqueComplex, v: int, field: Field) -> ChainVector:
-    """Signed indicator of the k-faces containing the (k-1)-set v."""
-    if v.bit_count() != c.k - 1:
-        raise ValueError("coboundary expects a (k-1)-element face")
-    if v & ~((1 << c.n) - 1):
-        raise ValueError("vertex out of range")
-    return ChainVector(field, {f: incidence(v, f) for f in c.faces_k if f & v == v})
-
-
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """Dense boundary matrix: rows all (k-1)-sets of [n], columns the k-faces, both lex."""
@@ -126,16 +104,6 @@ class BoundaryMatrix:
     row_faces: tuple[int, ...]
     col_faces: tuple[int, ...]
     field: Field
-
-    def row_chain(self, v: int) -> ChainVector:
-        i = self.row_faces.index(v)
-        return ChainVector(self.field,
-                           {f: a for f, a in zip(self.col_faces, self.matrix.rows[i])})
-
-    def column_chain(self, f: int) -> ChainVector:
-        j = self.col_faces.index(f)
-        return ChainVector(self.field,
-                           {v: row[j] for v, row in zip(self.row_faces, self.matrix.rows)})
 
 
 def boundary_columns(c: HypercliqueComplex, field: Field, faces: Sequence[int],

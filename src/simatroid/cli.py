@@ -48,10 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("superdense", parents=[inst],
                    help="search for a maximal chain of relatively dense flats")
 
-    p = sub.add_parser("supersolvable", parents=[inst],
-                       help="decide supersolvability of the matroid")
-    p.add_argument("--max-brute", type=int, metavar="N",
-                   help="ground size limit for the modular-chain search")
+    sub.add_parser("supersolvable", parents=[inst],
+                   help="decide supersolvability of the matroid")
 
     p = sub.add_parser("triangulate", parents=[inst],
                        help="triangulability and strong triangulability")
@@ -146,14 +144,7 @@ def _cmd_supersolvable(args) -> tuple[int, list[str]]:
     inst, field = _read_instance(args)
     m = SimplicialMatroid(instance_complex(inst), field)
     lines = _head(inst, field)
-    kwargs = {} if args.max_brute is None else {"max_ground": args.max_brute}
-    try:
-        verdict = check_supersolvable(m, **kwargs)
-    except GuardExceeded as exc:
-        lines.append("supersolvable inconclusive")
-        lines.append(f"note {exc}")
-        return 2, lines
-    lines.append(f"supersolvable {'true' if verdict else 'false'}")
+    lines.append(f"supersolvable {'true' if check_supersolvable(m) else 'false'}")
     return 0, lines
 
 

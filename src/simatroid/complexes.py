@@ -145,14 +145,6 @@ class HypercliqueComplex:
         """The k-faces strictly containing v (for |v| = k - 1, the star of v)."""
         return frozenset(f for f in self.faces_k if f & v == v and f != v)
 
-    def star_delete(self, v: int) -> "HypercliqueComplex":
-        """Remove every k-face containing the (k-1)-set v, regenerate the complex."""
-        if v.bit_count() != self.k - 1:
-            raise ValueError("star deletion expects a (k-1)-element face")
-        if v & ~((1 << self.n) - 1):
-            raise ValueError("vertex out of range")
-        return HypercliqueComplex(self.n, self.k, self.faces_k - self.star(v))
-
     def extension_vertices(self, f: int) -> list[int]:
         """Vertices x with f | {x} still a face; f itself must be a face of size >= k."""
         out = []
@@ -187,13 +179,6 @@ class HypercliqueComplex:
                     seen.add(g)
                     stack.append(g)
         return frozenset(maximal)
-
-    def is_facet(self, f: int) -> bool:
-        if not self.is_face(f):
-            return False
-        if f.bit_count() < self.k:
-            return f.bit_count() == self.k - 1 and not self.star(f)
-        return not self.extension_vertices(f)
 
 
 def _bit_positions(mask: int) -> Iterator[int]:

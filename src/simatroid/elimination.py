@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .chains import ChainVector, coboundary
-from .complexes import HypercliqueComplex, all_faces, submasks_of_size, vertices
-from .errors import CertificateError, GuardExceeded
+from .complexes import HypercliqueComplex, all_faces, vertices
+from .errors import CertificateError
 from .fields import GF2, Field
-from .linalg import IncrementalRank
 from .matroid import SimplicialMatroid
-
-DEFAULT_ORACLE_GROUND = 10
 
 
 def is_simplicial_face(c: HypercliqueComplex, v: int) -> bool:
@@ -80,8 +76,6 @@ def verify_dperfect(c: HypercliqueComplex, field: Field, cert: DPerfectCertifica
             raise CertificateError(f"step {step}: recorded cocircuit does not match the star")
         if not m.is_cocircuit_within(residual, st):
             raise CertificateError(f"step {step}: star is not a cocircuit of the residual")
-        if m.rank_of(residual - st) != m.rank_of(residual) - 1:
-            raise CertificateError(f"step {step}: rank did not drop by exactly one")
         residual = residual - st
     if residual:
         raise CertificateError("peel did not exhaust the k-faces")
@@ -165,24 +159,6 @@ def check_basic_linear_sequence(c: HypercliqueComplex, field: Field,
     return True
 
 
-def cocircuit_space_basis_from_sequence(c: HypercliqueComplex, field: Field,
-                                        seq: Sequence[int]) -> list[ChainVector]:
-    """The stars of a valid sequence, as a basis of the cocircuit space."""
-    if not check_basic_linear_sequence(c, field, seq):
-        raise ValueError("not a valid peel sequence for this complex and field")
-    m = SimplicialMatroid(c, field)
-    vecs = [coboundary(c, v, field) for v in seq]
-    inc = IncrementalRank(field)
-    matrix = m.boundary_matrix.matrix
-    for vec in vecs:
-        dense = vec.dense(m.ground)
-        if not matrix.in_row_space(dense, field=field):
-            raise AssertionError("a star fell outside the row space")
-        if not inc.add(dense):
-            raise AssertionError("stars of a valid sequence must be independent")
-    return vecs
-
-
 def check_chordal_graph(edges: Iterable, n: int) -> bool:
     """Perfect-elimination test on plain adjacency sets; no matroid machinery.
 
@@ -207,27 +183,6 @@ def check_chordal_graph(edges: Iterable, n: int) -> bool:
             return False
         active.remove(pick)
     return True
-
-
-def is_dense_hyperplane(m: SimplicialMatroid, h: Iterable[int]) -> bool:
-    """Is h a hyperplane whose complement is the star of a simplicial (k-1)-face?"""
-    hs = frozenset(m._check_subset(h))
-    ground = frozenset(m.ground)
-    if hs == ground:
-        return False
-    removed = ground - hs
-    r = m.rank
-    if m.rank_of(hs) != r - 1:
-        return False
-    if not all(m.rank_of(hs | {e}) == r for e in removed):
-        return False
-    common = (1 << m.complex.n) - 1
-    for f in removed:
-        common &= f
-    for v in submasks_of_size(common, m.complex.k - 1):
-        if m.complex.star(v) == removed and is_simplicial_face(m.complex, v):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -315,67 +270,12 @@ def check_superdense(m: SimplicialMatroid) -> SuperdenseCertificate | None:
     return cert
 
 
-def supersolvable_modular_chain(m: SimplicialMatroid,
-                                max_ground: int = DEFAULT_ORACLE_GROUND) -> bool:
-    """Brute-force search for a maximal chain of modular flats.
-
-    Flats are enumerated by closure saturation; modularity of a flat X
-    is tested against every flat Y via r(X) + r(Y) == r(X u Y) + r(X n Y)
-    (the intersection of flats is a flat, and closures preserve rank).
-    """
-    if len(m.ground) > max_ground:
-        raise GuardExceeded(
-            f"modular-chain search over {len(m.ground)} elements exceeds the guard of {max_ground}")
-    bottom = m.closure(frozenset())
-    flats: set[frozenset[int]] = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for flat in frontier:
-            for e in m.ground:
-                if e in flat:
-                    continue
-                bigger = m.closure(flat | {e})
-                if bigger not in flats:
-                    flats.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    by_rank: dict[int, list[frozenset[int]]] = {}
-    for flat in flats:
-        by_rank.setdefault(m.rank_of(flat), []).append(flat)
-    modular_cache: dict[frozenset[int], bool] = {}
-
-    def modular(x: frozenset[int]) -> bool:
-        got = modular_cache.get(x)
-        if got is None:
-            rx = m.rank_of(x)
-            got = all(rx + m.rank_of(y) == m.rank_of(x | y) + m.rank_of(x & y)
-                      for y in flats)
-            modular_cache[x] = got
-        return got
-
-    r = m.rank
-    dead: set[frozenset[int]] = set()
-
-    def climb(x: frozenset[int], level: int) -> bool:
-        if level == r:
-            return True
-        if x in dead:
-            return False
-        for y in by_rank.get(level + 1, ()):
-            if x < y and modular(y) and climb(y, level + 1):
-                return True
-        dead.add(x)
-        return False
-
-    return modular(bottom) and climb(bottom, m.rank_of(bottom))
-
-
-def check_supersolvable(m: SimplicialMatroid,
-                        max_ground: int = DEFAULT_ORACLE_GROUND) -> bool:
+def check_supersolvable(m: SimplicialMatroid) -> bool:
     """For k > 2 a matroid here is supersolvable iff it has no circuits, so
-    the answer is a rank comparison.  For k = 2 the modular-chain search
-    decides, within its guard."""
+    the answer is a rank comparison.  For k = 2 the matroid is graphic, and
+    a graph's matroid is supersolvable iff the graph is chordal (Stanley,
+    "Supersolvable lattices", 1972), that is iff it has a complete
+    simplicial peel (Dirac); the verified peel search decides that."""
     if m.complex.k > 2:
         return m.rank == len(m.ground)
-    return supersolvable_modular_chain(m, max_ground=max_ground)
+    return find_dperfect_sequence(m.complex, m.field) is not None

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .chains import (BoundaryMatrix, ChainVector, boundary, boundary_columns, boundary_matrix,
-                     coboundary)
-from .complexes import HypercliqueComplex, all_faces, face_sort_key, full_complex, sorted_faces, vertices
+from .chains import BoundaryMatrix, ChainVector, boundary, boundary_columns, boundary_matrix
+from .complexes import HypercliqueComplex, face_sort_key, full_complex, sorted_faces, vertices
 from .errors import GuardExceeded
 from .fields import Field, Scalar
 from .linalg import (IncrementalRank, _bit_indices, column_relations, combine, dense_column,
@@ -82,12 +81,6 @@ class SimplicialMatroid:
     def is_independent(self, subset: Iterable[int]) -> bool:
         fs = self._check_subset(subset)
         return self.rank_of(fs) == len(fs)
-
-    def closure(self, subset: Iterable[int]) -> frozenset[int]:
-        fs = self._check_subset(subset)
-        r = self.rank_of(fs)
-        return frozenset(e for e in self.ground
-                         if e in fs or self.rank_of(fs | {e}) == r)
 
     def is_cocircuit(self, candidate: Iterable[int]) -> bool:
         return self.is_cocircuit_within(self._ground_set, candidate)
@@ -153,21 +146,6 @@ class SimplicialMatroid:
         """Does the combination of boundary columns with these coefficients vanish?"""
         self._check_subset(chain.support)
         return not combine(self.field, [(a, self._cols[f]) for f, a in chain.items_lex()])
-
-    def cocircuit_space_basis(self) -> list[ChainVector]:
-        """Greedy independent subfamily of the nonzero (k-1)-set stars, lex order."""
-        target = self.rank
-        basis: list[ChainVector] = []
-        inc = IncrementalRank(self.field)
-        for v in all_faces(self.complex.n, self.complex.k - 1):
-            if len(basis) == target:
-                break
-            vec = coboundary(self.complex, v, self.field)
-            if vec.is_zero():
-                continue
-            if inc.add(vec.dense(self.ground)):
-                basis.append(vec)
-        return basis
 
 
 def _minimal_supports(basis: Sequence[Sequence[Scalar]], supports: Iterable[int],

@@ -2,9 +2,10 @@
 
 These are the straightforward versions the program once ran: Gauss-Jordan
 elimination over dense rows, and minimal supports found by comparing
-every support with every minimal one found before it; and facets found
-by testing every vertex subset.  They are slow but plain, so the sparse
-kernel and its callers are checked against them.
+every support with every minimal one found before it; facets found by
+testing every vertex subset; and supersolvability decided by searching
+the lattice of flats for a maximal chain of modular flats.  They are slow
+but plain, so the sparse kernel and its callers are checked against them.
 """
 
 from __future__ import annotations
@@ -86,3 +87,63 @@ def brute_facets(c) -> set[int]:
             faces.add(mask)
     return {f for f in faces
             if not any(f | 1 << i in faces for i in range(c.n) if not f >> i & 1)}
+
+
+def closure(m, subset) -> frozenset[int]:
+    """The smallest flat of the matroid m containing subset."""
+    fs = frozenset(subset)
+    r = m.rank_of(fs)
+    return frozenset(e for e in m.ground if e in fs or m.rank_of(fs | {e}) == r)
+
+
+def supersolvable_modular_chain(m) -> bool:
+    """Brute-force search for a maximal chain of modular flats.
+
+    Flats are enumerated by closure saturation; modularity of a flat X
+    is tested against every flat Y via r(X) + r(Y) == r(X u Y) + r(X n Y)
+    (the intersection of flats is a flat, and closures preserve rank).
+    Exponential in the ground set: callers keep it to a dozen elements.
+    """
+    bottom = closure(m, frozenset())
+    flats: set[frozenset[int]] = {bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for flat in frontier:
+            for e in m.ground:
+                if e in flat:
+                    continue
+                bigger = closure(m, flat | {e})
+                if bigger not in flats:
+                    flats.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    by_rank: dict[int, list[frozenset[int]]] = {}
+    for flat in flats:
+        by_rank.setdefault(m.rank_of(flat), []).append(flat)
+    modular_cache: dict[frozenset[int], bool] = {}
+
+    def modular(x: frozenset[int]) -> bool:
+        got = modular_cache.get(x)
+        if got is None:
+            rx = m.rank_of(x)
+            got = all(rx + m.rank_of(y) == m.rank_of(x | y) + m.rank_of(x & y)
+                      for y in flats)
+            modular_cache[x] = got
+        return got
+
+    r = m.rank
+    dead: set[frozenset[int]] = set()
+
+    def climb(x: frozenset[int], level: int) -> bool:
+        if level == r:
+            return True
+        if x in dead:
+            return False
+        for y in by_rank.get(level + 1, ()):
+            if x < y and modular(y) and climb(y, level + 1):
+                return True
+        dead.add(x)
+        return False
+
+    return modular(bottom) and climb(bottom, m.rank_of(bottom))

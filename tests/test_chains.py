@@ -1,7 +1,7 @@
 import pytest
 
-from simatroid import (ChainVector, GF, GF2, QQ, boundary, boundary_matrix, build_complex,
-                      coboundary, face, full_complex, gen_random, instance_complex, vertices)
+from simatroid import (ChainVector, GF, GF2, QQ, boundary, boundary_matrix, build_complex, face,
+                      full_complex, gen_random, instance_complex, vertices)
 from simatroid.complexes import all_faces, incidence
 
 
@@ -38,17 +38,6 @@ def test_boundary_rejects_non_faces():
         boundary(c, face(2), QQ)
 
 
-def test_coboundary_is_signed_star():
-    c = build_complex(5, 3, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)])
-    v = face(1, 2)
-    cb = coboundary(c, v, GF(5))
-    assert cb.support == c.star(v)
-    for f, a in cb.items_lex():
-        assert a == GF(5).of(incidence(v, f))
-    with pytest.raises(ValueError):
-        coboundary(c, face(1, 2, 3), GF(5))
-
-
 def test_boundary_matrix_grid():
     c = build_complex(4, 2, [(1, 2), (1, 3), (2, 3), (3, 4)])
     bm = boundary_matrix(c, QQ)
@@ -57,8 +46,6 @@ def test_boundary_matrix_grid():
     for i, v in enumerate(bm.row_faces):
         for j, f in enumerate(bm.col_faces):
             assert bm.matrix.rows[i][j] == incidence(v, f)
-    assert bm.column_chain(face(1, 2)) == boundary(c, face(1, 2), QQ)
-    assert bm.row_chain(face(3)) == coboundary(c, face(3), QQ)
 
 
 def test_chain_vector_arithmetic():
@@ -68,10 +55,7 @@ def test_chain_vector_arithmetic():
     s = a.add(b)
     assert s.coeff(face(1, 2)) == 0 and face(1, 2) not in s.support
     assert s.coeff(face(1, 3)) == 5 and s.coeff(face(2, 3)) == 1
-    assert a.scale(2).coeff(face(1, 3)) == 3
     assert a.add_scaled(b, 5).coeff(face(1, 2)) == F.of(3 + 20)
-    assert a.neg().add(a).is_zero()
-    assert a.restrict([face(1, 2)]).support == {face(1, 2)}
     assert a.dense([face(1, 3), face(2, 3), face(1, 2)]) == (5, 0, 3)
     assert len(a) == 2
 

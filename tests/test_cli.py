@@ -1,7 +1,7 @@
 import contextlib
 import io
 
-from simatroid import (GF2, SimplicialMatroid, build_complex, gen_random,
+from simatroid import (GF2, SimplicialMatroid, build_complex, check_chordal_graph, gen_random,
                       parse_decomposition, parse_dperfect, parse_instance,
                       parse_superdense, verify_decomposition, verify_dperfect,
                       verify_superdense, write_instance, QQ)
@@ -97,12 +97,13 @@ def test_supersolvable_paths(tmp_path):
         ["supersolvable", "--file", write_tmp(tmp_path, CHORD4_TEXT)])[1]
     assert "supersolvable false" in run_command(
         ["supersolvable", "--file", write_tmp(tmp_path, CYCLE4_TEXT, "c4.txt")])[1]
-    big = write_instance(gen_random(6, 2, "9/10", 2))
-    path = write_tmp(tmp_path, big, "big.txt")
-    code, text = run_command(["supersolvable", "--file", path])
-    assert code == 2 and "supersolvable inconclusive" in text and "note " in text
-    code, text = run_command(["supersolvable", "--file", path, "--max-brute", "20"])
-    assert code == 0 and ("supersolvable true" in text or "supersolvable false" in text)
+    # graphs of any size are decided by chordality
+    for n, density, seed in ((6, "9/10", 2), (12, "1/2", 3)):
+        inst = gen_random(n, 2, density, seed)
+        path = write_tmp(tmp_path, write_instance(inst), "big.txt")
+        code, text = run_command(["supersolvable", "--file", path])
+        want = "true" if check_chordal_graph(inst.faces, n) else "false"
+        assert code == 0 and f"supersolvable {want}" in text.splitlines()
 
 
 def test_triangulate_paths(tmp_path):

@@ -85,19 +85,12 @@ def test_facets_against_brute():
         brute_facets = {f for f in expected
                         if not any(g != f and g & f == f for g in expected)}
         assert c.facets == brute_facets
-        for f in expected:
-            assert c.is_facet(f) == (f in brute_facets)
 
 
-def test_star_and_star_delete():
+def test_star():
     c = build_complex(5, 3, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 4, 5)])
-    v = face(1, 2)
-    assert c.star(v) == {face(1, 2, 3), face(1, 2, 4)}
-    d = c.star_delete(v)
-    assert d.faces_k == {face(2, 3, 4), face(1, 4, 5)}
-    assert d.n == c.n and d.k == c.k
-    with pytest.raises(ValueError):
-        c.star_delete(face(1, 2, 3))
+    assert c.star(face(1, 2)) == {face(1, 2, 3), face(1, 2, 4)}
+    assert c.star(face(3, 5)) == frozenset()
 
 
 def test_extension_vertices():

@@ -3,17 +3,14 @@ import itertools
 import pytest
 
 from conftest import EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, seq_masks, stacked_faces
-from oracles import brute_facets
+from oracles import brute_facets, supersolvable_modular_chain
 
-from simatroid import (CertificateError, DPerfectCertificate, GF2, GuardExceeded,
-                      HypercliqueComplex, QQ,
+from simatroid import (CertificateError, DPerfectCertificate, GF, GF2, HypercliqueComplex, QQ,
                       SimplicialMatroid, SuperdenseCertificate, build_complex,
                       check_basic_linear_sequence, check_chordal_graph, check_superdense,
-                      check_supersolvable, cocircuit_space_basis_from_sequence, face,
-                      find_dperfect_sequence, gen_random, instance_complex,
-                      is_dense_hyperplane, is_simplicial_face, simplicial_faces,
-                      supersolvable_modular_chain, verify_dperfect, verify_superdense,
-                      vertices)
+                      check_supersolvable, face, find_dperfect_sequence, gen_random,
+                      instance_complex, is_simplicial_face, simplicial_faces, verify_dperfect,
+                      verify_superdense, vertices)
 from simatroid.complexes import all_faces
 
 CHORD4 = [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]  # 4-cycle with chord 13
@@ -113,15 +110,6 @@ def test_basic_linear_sequence_on_worked_example():
     assert not check_basic_linear_sequence(c, GF2, seq[:-1])  # wrong length
 
 
-def test_cocircuit_basis_from_sequence():
-    c = build_complex(9, 3, EXAMPLE3_TRIPLES)
-    seq = seq_masks(EXAMPLE3_SEQUENCE)
-    basis = cocircuit_space_basis_from_sequence(c, GF2, seq)
-    assert len(basis) == 10
-    with pytest.raises(ValueError):
-        cocircuit_space_basis_from_sequence(c, GF2, list(reversed(seq)))
-
-
 def chordless_cycle_oracle(edges, n):
     """True iff no induced cycle of length >= 4 exists."""
     adj = {u: set() for u in range(1, n + 1)}
@@ -160,18 +148,6 @@ def test_chordality_against_cycle_oracle():
         check_chordal_graph([(1, 9)], 4)
 
 
-def test_dense_hyperplane():
-    c = build_complex(4, 2, CHORD4)
-    m = SimplicialMatroid(c, QQ)
-    ground = frozenset(m.ground)
-    assert is_dense_hyperplane(m, ground - c.star(face(2)))
-    assert is_dense_hyperplane(m, ground - c.star(face(4)))
-    # a hyperplane whose complement is no simplicial star
-    assert m.rank_of([face(1, 2), face(3, 4)]) == m.rank - 1
-    assert not is_dense_hyperplane(m, [face(1, 2), face(3, 4)])
-    assert not is_dense_hyperplane(m, ground)
-
-
 def test_superdense_matches_dperfect():
     for c in small_complexes(20, 5, 2, 2500) + small_complexes(20, 6, 3, 2600, "11/20"):
         m = SimplicialMatroid(c, GF2)
@@ -206,16 +182,27 @@ def test_supersolvable_fast_path_matches_modular_oracle():
 
 
 def test_supersolvable_is_chordality_for_graphs():
-    for seed in range(40):
-        inst = gen_random(5, 2, "1/2", 3100 + seed)
-        m = SimplicialMatroid(instance_complex(inst), GF2)
-        chordal = check_chordal_graph([vertices(f) for f in inst.faces], 5)
-        assert check_supersolvable(m) == chordal
+    # 33 edges on 12 vertices, not chordal; K_6; seeded random graphs; and
+    # stacked graphs, chordal by construction with 11 edges on 7 vertices
+    complexes = [instance_complex(gen_random(12, 2, "1/2", 3)),
+                 instance_complex(gen_random(6, 2, 1, 0))]
+    complexes += [instance_complex(gen_random(n, 2, density, 3100 + 10 * n + i))
+                  for n in range(5, 13)
+                  for i, density in enumerate(("1/5", "1/3", "1/2", "3/4", "9/10"))]
+    complexes += [build_complex(7, 2, stacked_faces(7, 2, seed)) for seed in range(3)]
+    for field in (GF2, GF(3), QQ):
+        for c in complexes:
+            m = SimplicialMatroid(c, field)
+            got = check_supersolvable(m)
+            assert got == check_chordal_graph(c.faces_k, c.n)
+            if len(c.faces_k) <= 12:
+                assert got == supersolvable_modular_chain(m)
 
 
 def test_supersolvable_guard():
-    m = SimplicialMatroid(instance_complex(gen_random(6, 2, "3/4", 11)), GF2)
-    assert len(m.ground) > 10
-    with pytest.raises(GuardExceeded):
-        check_supersolvable(m)
-    assert isinstance(check_supersolvable(m, max_ground=len(m.ground)), bool)
+    """No guard: graphs with more than ten edges are decided too."""
+    inst = gen_random(12, 2, "1/2", 3)
+    m = SimplicialMatroid(instance_complex(inst), GF2)
+    assert len(m.ground) == 33
+    assert check_supersolvable(m) is False
+    assert check_chordal_graph(inst.faces, 12) is False

