@@ -42,8 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("analyze", parents=[inst],
                    help="rank, facets and simplicial faces of an instance")
 
-    p = sub.add_parser("perfect", parents=[inst], help="search for a complete simplicial peel")
-    p.add_argument("--strategy", choices=("backtrack", "greedy"), default="backtrack")
+    sub.add_parser("perfect", parents=[inst], help="search for a complete simplicial peel")
 
     sub.add_parser("superdense", parents=[inst],
                    help="search for a maximal chain of relatively dense flats")
@@ -114,17 +113,14 @@ def _cmd_analyze(args) -> tuple[int, list[str]]:
 def _cmd_perfect(args) -> tuple[int, list[str]]:
     inst, field = _read_instance(args)
     c = instance_complex(inst)
-    cert = find_dperfect_sequence(c, field, strategy=args.strategy)
+    cert = find_dperfect_sequence(c, field)
     lines = _head(inst, field)
-    if cert is not None:
+    if cert is None:
+        lines.append("d-perfect false")
+    else:
         lines.append("d-perfect true")
         lines.extend(_block(format_dperfect(cert)))
-        return 0, lines
-    if args.strategy == "backtrack" or c.k == 2:
-        lines.append("d-perfect false")
-        return 0, lines
-    lines.append("d-perfect inconclusive")
-    return 2, lines
+    return 0, lines
 
 
 def _cmd_superdense(args) -> tuple[int, list[str]]:

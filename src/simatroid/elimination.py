@@ -4,8 +4,8 @@ A (k-1)-face is simplicial when exactly one facet strictly contains it.
 Peeling the star of a simplicial face removes a cocircuit of the
 matroid, so a complete peel sequence is a certified analogue of a
 perfect elimination ordering; the superdense chain is the matching
-lattice object, validated here with rank arithmetic instead of facet
-arithmetic so the two notions are checked by different machinery.
+lattice object, read off the residuals of a peel.  One step verifier
+checks both, each cocircuit by rank rather than by facet arithmetic.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ class DPerfectCertificate:
         return len(self.sequence)
 
 
-def verify_dperfect(c: HypercliqueComplex, field: Field, cert: DPerfectCertificate) -> None:
-    m = SimplicialMatroid(c, field)
-    r = m.rank
-    if len(cert.sequence) != r or len(cert.cocircuits) != len(cert.sequence):
-        raise CertificateError(f"sequence length {len(cert.sequence)} != rank {r}")
+def _verify_peel(m: SimplicialMatroid, steps: Iterable[tuple[int, frozenset[int]]]) -> None:
+    """Walk the (face, claimed star) steps of a peel down from the ground
+    set: each face must be a simplicial (k-1)-face of the residual, the
+    claim its star there, and the star a cocircuit of the residual by
+    rank.  The steps must exhaust the k-faces."""
+    c = m.complex
     residual = frozenset(m.ground)
-    for step, (v, claimed) in enumerate(zip(cert.sequence, cert.cocircuits), start=1):
+    for step, (v, claimed) in enumerate(steps, start=1):
         if v.bit_count() != c.k - 1:
             raise CertificateError(f"step {step}: entry is not a (k-1)-element face")
         comp = HypercliqueComplex(c.n, c.k, residual)
@@ -81,38 +82,41 @@ def verify_dperfect(c: HypercliqueComplex, field: Field, cert: DPerfectCertifica
         raise CertificateError("peel did not exhaust the k-faces")
 
 
-def _peel_search(c: HypercliqueComplex, exhaustive: bool) -> list[tuple[int, frozenset[int]]] | None:
-    """Depth-first search over simplicial peels, lex-first at every step.
+def verify_dperfect(c: HypercliqueComplex, field: Field, cert: DPerfectCertificate) -> None:
+    _verify_dperfect(SimplicialMatroid(c, field), cert)
 
-    With exhaustive=False only the greedy branch is followed.  For k = 2
-    a single maximal peel is decisive either way: eliminating any
-    simplicial vertex of a chordal graph leaves a chordal graph, so the
-    greedy dive cannot dead-end unless every dive does.
+
+def _verify_dperfect(m: SimplicialMatroid, cert: DPerfectCertificate) -> None:
+    """verify_dperfect on a matroid the caller holds, reusing its rank cache."""
+    r = m.rank
+    if len(cert.sequence) != r or len(cert.cocircuits) != r:
+        raise CertificateError(f"sequence length {len(cert.sequence)} != rank {r}")
+    _verify_peel(m, zip(cert.sequence, cert.cocircuits))
+
+
+def _peel_search(c: HypercliqueComplex) -> list[tuple[int, frozenset[int]]] | None:
+    """(face, star) steps of the lex-first complete simplicial peel, or None.
+
+    For k = 2 one greedy dive decides: eliminating any simplicial vertex
+    of a chordal graph leaves a chordal graph, so the greedy dive cannot
+    dead-end unless every dive does.  For k > 2 the search backtracks,
+    remembering the residuals that have no complete peel.
     """
     n, k = c.n, c.k
     failed: set[frozenset[int]] = set()
-    candidates_memo: dict[frozenset[int], list[tuple[int, frozenset[int]]]] = {}
-
-    def candidates(faces: frozenset[int]) -> list[tuple[int, frozenset[int]]]:
-        got = candidates_memo.get(faces)
-        if got is None:
-            comp = HypercliqueComplex(n, k, faces)
-            got = [(v, comp.star(v)) for v in simplicial_faces(comp)]
-            candidates_memo[faces] = got
-        return got
-
-    greedy_only = (not exhaustive) or k == 2
 
     def dfs(faces: frozenset[int], acc: list) -> list | None:
         if not faces:
             return acc
         if faces in failed:
             return None
-        for v, st in candidates(faces):
+        comp = HypercliqueComplex(n, k, faces)
+        for v in simplicial_faces(comp):
+            st = comp.star(v)
             result = dfs(faces - st, acc + [(v, st)])
             if result is not None:
                 return result
-            if greedy_only:
+            if k == 2:
                 break
         failed.add(faces)
         return None
@@ -120,18 +124,10 @@ def _peel_search(c: HypercliqueComplex, exhaustive: bool) -> list[tuple[int, fro
     return dfs(frozenset(c.faces_k), [])
 
 
-def find_dperfect_sequence(c: HypercliqueComplex, field: Field = GF2,
-                           strategy: str = "backtrack") -> DPerfectCertificate | None:
-    """Search for a complete simplicial peel and return a verified certificate.
-
-    strategy "backtrack" is exhaustive: None means no such sequence
-    exists.  strategy "greedy" follows the lex-first candidate only, so
-    None is merely inconclusive (except for k = 2, where one maximal
-    peel decides).
-    """
-    if strategy not in ("backtrack", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    steps = _peel_search(c, exhaustive=(strategy == "backtrack"))
+def find_dperfect_sequence(c: HypercliqueComplex,
+                           field: Field = GF2) -> DPerfectCertificate | None:
+    """A verified complete simplicial peel, or None when none exists."""
+    steps = _peel_search(c)
     if steps is None:
         return None
     cert = DPerfectCertificate(sequence=tuple(v for v, _ in steps),
@@ -199,6 +195,8 @@ class SuperdenseCertificate:
 
 
 def verify_superdense(m: SimplicialMatroid, cert: SuperdenseCertificate) -> None:
+    """Check the chain's shape, then walk it down as a peel: step i removes
+    chain[i+1] - chain[i], the witness's star, a cocircuit of chain[i+1]."""
     r = m.rank
     if len(cert.chain) != r + 1 or len(cert.witnesses) != r:
         raise CertificateError(f"chain length {len(cert.chain)} != rank + 1 = {r + 1}")
@@ -207,65 +205,26 @@ def verify_superdense(m: SimplicialMatroid, cert: SuperdenseCertificate) -> None
     if cert.chain[-1] != frozenset(m.ground):
         raise CertificateError("chain must end at the full ground set")
     for i in range(r):
-        below, above = cert.chain[i], cert.chain[i + 1]
-        if not below < above:
+        if not cert.chain[i] < cert.chain[i + 1]:
             raise CertificateError(f"step {i + 1}: chain is not strictly increasing")
-        v = cert.witnesses[i]
-        if v.bit_count() != m.complex.k - 1:
-            raise CertificateError(f"step {i + 1}: witness is not a (k-1)-element face")
-        comp = HypercliqueComplex(m.complex.n, m.complex.k, above)
-        if not is_simplicial_face(comp, v):
-            raise CertificateError(
-                f"step {i + 1}: witness {vertices(v)} is not simplicial in the restriction")
-        st = comp.star(v)
-        if above - st != below:
-            raise CertificateError(f"step {i + 1}: flat is not the complement of the witness star")
-        r_above = m.rank_of(above)
-        if m.rank_of(below) != r_above - 1:
-            raise CertificateError(f"step {i + 1}: lower flat does not have corank one")
-        if any(m.rank_of(below | {e}) != r_above for e in st):
-            raise CertificateError(f"step {i + 1}: lower set is not a flat of the restriction")
+    _verify_peel(m, ((cert.witnesses[i], cert.chain[i + 1] - cert.chain[i])
+                     for i in reversed(range(r))))
 
 
 def check_superdense(m: SimplicialMatroid) -> SuperdenseCertificate | None:
-    """Exhaustive top-down search for a maximal chain of relatively dense flats.
-
-    Every candidate step is validated by rank arithmetic (corank one,
-    flat in the restriction), independently of the cocircuit reasoning
-    in the peel search.  None is definitive.
+    """A maximal chain of relatively dense flats, from the residuals of a
+    complete simplicial peel read bottom up (the paper's analogue of
+    Stanley's theorem: a peel exists iff such a chain does).  Every step
+    is checked by rank in verify_superdense.  None is definitive.
     """
-    n, k = m.complex.n, m.complex.k
-    failed: set[frozenset[int]] = set()
-    greedy_only = k == 2
-
-    def dfs(x: frozenset[int]) -> list[tuple[frozenset[int], int]] | None:
-        if not x:
-            return []
-        if x in failed:
-            return None
-        comp = HypercliqueComplex(n, k, x)
-        r_x = m.rank_of(x)
-        for v in simplicial_faces(comp):
-            st = comp.star(v)
-            h = x - st
-            if m.rank_of(h) != r_x - 1 or any(m.rank_of(h | {e}) != r_x for e in st):
-                raise AssertionError("star of a simplicial face was not a dense hyperplane")
-            tail = dfs(h)
-            if tail is not None:
-                return [(h, v)] + tail
-            if greedy_only:
-                break
-        failed.add(x)
-        return None
-
-    top = frozenset(m.ground)
-    steps = dfs(top)
+    steps = _peel_search(m.complex)
     if steps is None:
         return None
-    chain = [top] + [h for h, _ in steps]
-    witnesses = [v for _, v in steps]
+    chain = [frozenset(m.ground)]
+    for _, st in steps:
+        chain.append(chain[-1] - st)
     cert = SuperdenseCertificate(chain=tuple(reversed(chain)),
-                                 witnesses=tuple(reversed(witnesses)))
+                                 witnesses=tuple(v for v, _ in reversed(steps)))
     verify_superdense(m, cert)
     return cert
 
@@ -275,7 +234,11 @@ def check_supersolvable(m: SimplicialMatroid) -> bool:
     the answer is a rank comparison.  For k = 2 the matroid is graphic, and
     a graph's matroid is supersolvable iff the graph is chordal (Stanley,
     "Supersolvable lattices", 1972), that is iff it has a complete
-    simplicial peel (Dirac); the verified peel search decides that."""
+    simplicial peel (Dirac); the peel search decides that, and the peel
+    it finds is verified against m."""
     if m.complex.k > 2:
         return m.rank == len(m.ground)
-    return find_dperfect_sequence(m.complex, m.field) is not None
+    steps = _peel_search(m.complex)
+    if steps is not None:
+        _verify_peel(m, steps)
+    return steps is not None

@@ -1,12 +1,12 @@
 """The linear matroid of boundary columns of a complex's k-faces.
 
 Ground set: the k-faces in lexicographic order.  Their boundary columns
-are built once, sparse, over the (k-1)-faces that occur, and every rank,
-circuit and cocircuit question is answered by the elimination kernel of
-linalg on those columns.  Rank queries are cached per subset.
-Restriction to a subset of the ground set is just a rank query on that
-subset, so every "residual matroid" question below is phrased through
-rank_of.
+are built once, on first use, sparse over the (k-1)-faces that occur,
+and every rank, circuit and cocircuit question is answered by the
+elimination kernel of linalg on those columns.  Rank queries are cached
+per subset.  Restriction to a subset of the ground set is just a rank
+query on that subset, so every "residual matroid" question below is
+phrased through rank_of.
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ class SimplicialMatroid:
         self.field = field
         self.ground: tuple[int, ...] = tuple(sorted_faces(complex.faces_k))
         self._ground_set = frozenset(self.ground)
-        _, cols = boundary_columns(complex, field, self.ground)
-        self._cols = dict(zip(self.ground, cols))
         self._rank_cache: dict[frozenset[int], int] = {}
 
     def __repr__(self) -> str:
         return f"SimplicialMatroid({self.complex!r}, {self.field})"
+
+    @cached_property
+    def _cols(self) -> dict:
+        """Boundary column of each k-face, built on first use."""
+        _, cols = boundary_columns(self.complex, self.field, self.ground)
+        return dict(zip(self.ground, cols))
 
     @cached_property
     def boundary_matrix(self) -> BoundaryMatrix:

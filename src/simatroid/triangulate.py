@@ -18,7 +18,7 @@ from itertools import combinations
 from .chains import ChainVector, boundary, boundary_columns
 from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_key, sorted_faces,
                         vertices)
-from .elimination import DPerfectCertificate, simplicial_faces, verify_dperfect
+from .elimination import DPerfectCertificate, _verify_dperfect, simplicial_faces
 from .errors import CertificateError, GuardExceeded
 from .fields import GF2, Field, Scalar
 from .linalg import (IncrementalRank, _bit_indices, column_relations, dense_column,
@@ -125,7 +125,7 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
         raise ValueError("target is over the wrong field")
     if target.is_zero():
         raise ValueError("target must be a nonzero dependency")
-    verify_dperfect(m.complex, field, cert)
+    _verify_dperfect(m, cert)
     if not m.is_dependency(target):
         raise ValueError("target is not a dependency among the k-faces")
     stage = {}

@@ -3,14 +3,17 @@
 These are the straightforward versions the program once ran: Gauss-Jordan
 elimination over dense rows, and minimal supports found by comparing
 every support with every minimal one found before it; facets found by
-testing every vertex subset; and supersolvability decided by searching
-the lattice of flats for a maximal chain of modular flats.  They are slow
-but plain, so the sparse kernel and its callers are checked against them.
+testing every vertex subset; supersolvability decided by searching the
+lattice of flats for a maximal chain of modular flats; and peel steps
+checked by those facets and by dense ranks.  They are slow but plain,
+so the sparse kernel and its callers are checked against them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 
@@ -147,3 +150,51 @@ def supersolvable_modular_chain(m) -> bool:
         return False
 
     return modular(bottom) and climb(bottom, m.rank_of(bottom))
+
+
+
+def _boundary_rank(n: int, field, faces: frozenset[int]) -> int:
+    """Dense rank of the boundary columns of faces, signs alternating
+    along each face's sorted vertices."""
+    ridges = sorted({f & ~(1 << i) for f in faces for i in range(n) if f >> i & 1})
+    row = {ridge: j for j, ridge in enumerate(ridges)}
+    cols = []
+    for f in sorted(faces):
+        col = [0] * len(ridges)
+        for pos, i in enumerate(i for i in range(n) if f >> i & 1):
+            col[row[f & ~(1 << i)]] = (-1) ** pos
+        cols.append(col)
+    return dense_rank(transpose(cols, len(ridges)), field)
+
+
+def peel_step_checker(c, field):
+    """A function telling whether steps, (face v, removed k-faces) pairs,
+    are a complete simplicial peel of c with each removed set a cocircuit
+    of the residual matroid.
+
+    v is simplicial when exactly one facet of the residual complex (by
+    brute_facets) strictly contains it; the removed set must be its star;
+    the complement of the star must be a flat of rank one less (by dense
+    rank).  Facets and ranks are cached per residual, so many edits of
+    one peel are cheap to check.
+    """
+    facets = cache(lambda faces: brute_facets(SimpleNamespace(n=c.n, k=c.k, faces_k=faces)))
+    rank = cache(lambda faces: _boundary_rank(c.n, field, faces))
+
+    def ok(steps) -> bool:
+        residual = frozenset(c.faces_k)
+        for v, removed in steps:
+            if v.bit_count() != c.k - 1:
+                return False
+            above = [f for f in facets(residual) if f & v == v and f != v]
+            star = frozenset(f for f in residual if f & v == v)
+            if len(above) != 1 or removed != star:
+                return False
+            h = residual - star
+            r = rank(residual)
+            if rank(h) != r - 1 or any(rank(h | {e}) != r for e in star):
+                return False
+            residual = h
+        return not residual
+
+    return ok

@@ -65,7 +65,7 @@ def test_02_field_sensitive_plane():
     c = gen_projective_plane()
     ok = len(c.faces_k) == 10
     ok &= simplicial_faces(c) == []
-    ok &= find_dperfect_sequence(c, GF2, strategy="backtrack") is None
+    ok &= find_dperfect_sequence(c, GF2) is None
     mq = SimplicialMatroid(c, QQ)
     ok &= mq.rank == 10
     ok &= mq.circuits_brute() == []

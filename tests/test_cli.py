@@ -73,11 +73,11 @@ def test_perfect_false_for_bare_cycle(tmp_path):
     assert code == 0 and "d-perfect false" in text
 
 
-def test_perfect_greedy_is_inconclusive_beyond_graphs(tmp_path):
+def test_perfect_decides_beyond_graphs(tmp_path):
     _, text = run_command(["gen", "projective-plane"])
     path = write_tmp(tmp_path, text, "proj.txt")
-    code, report = run_command(["perfect", "--file", path, "--strategy", "greedy"])
-    assert code == 2 and "d-perfect inconclusive" in report
+    code, _ = run_command(["perfect", "--file", path, "--strategy", "greedy"])
+    assert code == 1
     code, report = run_command(["perfect", "--file", path])
     assert code == 0 and "d-perfect false" in report
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, seq_masks, stacked_faces
-from oracles import brute_facets, supersolvable_modular_chain
+from oracles import brute_facets, peel_step_checker, supersolvable_modular_chain
 
 from simatroid import (CertificateError, DPerfectCertificate, GF, GF2, HypercliqueComplex, QQ,
                       SimplicialMatroid, SuperdenseCertificate, build_complex,
@@ -72,16 +72,39 @@ def test_backtrack_matches_exhaustive_oracle():
             assert union == set(c.faces_k)
 
 
-def test_greedy_strategy():
-    c = build_complex(4, 2, CHORD4)
-    cert = find_dperfect_sequence(c, QQ, strategy="greedy")
+def test_peel_of_chorded_and_bare_four_cycle():
+    cert = find_dperfect_sequence(build_complex(4, 2, CHORD4), QQ)
     assert cert is not None and len(cert) == 3
-    with pytest.raises(ValueError):
-        find_dperfect_sequence(c, QQ, strategy="nope")
-    # non-chordal graph: greedy is still decisive for k = 2
     c4 = build_complex(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert find_dperfect_sequence(c4, GF2, strategy="greedy") is None
     assert find_dperfect_sequence(c4, GF2) is None
+    assert find_dperfect_sequence(c4, QQ) is None
+
+
+def test_every_k3_complex_on_five_vertices():
+    """All 2^10 k = 3 complexes on 5 vertices: the peel search and the
+    superdense chain agree with the exhaustive oracle and verify, the star
+    of every simplicial face is a cocircuit, and no first step of a
+    peelable complex leaves a residual without a complete peel."""
+    triples = all_faces(5, 3)
+    complexes = [HypercliqueComplex(5, 3, [f for i, f in enumerate(triples) if bits >> i & 1])
+                 for bits in range(1 << len(triples))]
+    peelable = {c: peel_oracle(c) for c in complexes}
+    assert sum(peelable.values()) == 969
+    for field in (GF2, GF(3)):
+        for c in complexes:
+            m = SimplicialMatroid(c, field)
+            cert = find_dperfect_sequence(c, field)
+            chain = check_superdense(m)
+            assert (cert is not None) == (chain is not None) == peelable[c]
+            if cert is not None:
+                verify_dperfect(c, field, cert)
+                verify_superdense(m, chain)
+            for v in simplicial_faces(c):
+                assert m.is_cocircuit(c.star(v))
+    for c in complexes:
+        if peelable[c]:
+            for v in simplicial_faces(c):
+                assert peelable[HypercliqueComplex(5, 3, c.faces_k - c.star(v))]
 
 
 def test_verify_dperfect_rejects_corruption():
@@ -98,6 +121,13 @@ def test_verify_dperfect_rejects_corruption():
     with pytest.raises(CertificateError):
         verify_dperfect(c, GF2, DPerfectCertificate((face(1, 2, 3),) + cert.sequence[1:],
                                                     cert.cocircuits))
+    # every star a cocircuit and the rank exhausted, but vertex 1 is not simplicial
+    seq = (face(1), face(2), face(3))
+    assert check_basic_linear_sequence(c, GF2, seq)
+    stars = (frozenset({face(1, 2), face(1, 3), face(1, 4)}), frozenset({face(2, 3)}),
+             frozenset({face(3, 4)}))
+    with pytest.raises(CertificateError, match="not simplicial"):
+        verify_dperfect(c, GF2, DPerfectCertificate(seq, stars))
 
 
 def test_basic_linear_sequence_on_worked_example():
@@ -170,6 +200,95 @@ def test_verify_superdense_rejects_corruption():
     swapped = tuple(reversed(cert.witnesses))
     with pytest.raises(CertificateError):
         verify_superdense(m, SuperdenseCertificate(cert.chain, swapped))
+
+
+def step_edits(steps, ground, ridges):
+    """Every single edit of a peel given as (face, removed set) steps: drop
+    a step, swap two, move one face between two removed sets, add or
+    remove one face of a removed set, replace a face by another (k-1)-set."""
+    r = len(steps)
+
+    def edited(changes):
+        return [changes.get(i, step) for i, step in enumerate(steps)]
+
+    for i in range(r):
+        yield steps[:i] + steps[i + 1:]
+    for i, j in itertools.combinations(range(r), 2):
+        yield edited({i: steps[j], j: steps[i]})
+    for i, (v, st) in enumerate(steps):
+        for f in st:
+            for j, (w, other) in enumerate(steps):
+                if j != i:
+                    yield edited({i: (v, st - {f}), j: (w, other | {f})})
+        for f in ground:
+            yield edited({i: (v, st ^ {f})})
+        for u in ridges:
+            if u != v:
+                yield edited({i: (u, st)})
+
+
+def chain_of(ground, steps):
+    """The superdense form of top-down peel steps: (chain, witnesses)."""
+    chain = [frozenset(ground)]
+    for _, st in steps:
+        chain.append(chain[-1] - st)
+    return tuple(reversed(chain)), tuple(v for v, _ in reversed(steps))
+
+
+def superdense_edits(ground, steps, ridges):
+    """The chains of every edit of the peel, then every chain with one face
+    added to or removed from one flat."""
+    for edit in step_edits(steps, ground, ridges):
+        yield chain_of(ground, edit)
+    chain, witnesses = chain_of(ground, steps)
+    for i in range(len(chain)):
+        for f in ground:
+            yield chain[:i] + (chain[i] ^ {f},) + chain[i + 1:], witnesses
+
+
+def superdense_ok(peel_ok, ground, chain, witnesses):
+    """Oracle: nested flats from the empty set to the ground set whose
+    differences, read top down, are the steps of a peel."""
+    r = len(witnesses)
+    if len(chain) != r + 1 or chain[0] or chain[-1] != frozenset(ground):
+        return False
+    if any(not chain[i] <= chain[i + 1] for i in range(r)):
+        return False
+    return peel_ok([(witnesses[i], chain[i + 1] - chain[i]) for i in reversed(range(r))])
+
+
+def rejects(verify, *args):
+    try:
+        verify(*args)
+    except CertificateError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ], ids=lambda f: f.name)
+def test_certificate_edits_match_oracle(field):
+    """Every single edit of a peel and of its superdense chain is rejected
+    by the verifier exactly when the oracle step checker rejects it.  Some
+    edits, such as swapping two independent steps, leave a valid peel."""
+    instances = [build_complex(4, 2, CHORD4), build_complex(9, 3, EXAMPLE3_TRIPLES),
+                 build_complex(8, 3, stacked_faces(8, 3, 1))]
+    total = rejected = 0
+    for c in instances:
+        m = SimplicialMatroid(c, field)
+        cert = find_dperfect_sequence(c, field)
+        steps = list(zip(cert.sequence, cert.cocircuits))
+        ridges = all_faces(c.n, c.k - 1)
+        peel_ok = peel_step_checker(c, field)
+        for edit in step_edits(steps, m.ground, ridges):
+            bad = DPerfectCertificate(tuple(v for v, _ in edit), tuple(st for _, st in edit))
+            got = rejects(verify_dperfect, c, field, bad)
+            assert got == (not peel_ok(edit)), edit
+            total, rejected = total + 1, rejected + got
+        for chain, witnesses in superdense_edits(m.ground, steps, ridges):
+            got = rejects(verify_superdense, m, SuperdenseCertificate(chain, witnesses))
+            assert got == (not superdense_ok(peel_ok, m.ground, chain, witnesses))
+            total, rejected = total + 1, rejected + got
+    assert rejected > 0.9 * total
 
 
 def test_supersolvable_fast_path_matches_modular_oracle():
