@@ -14,8 +14,8 @@ import sys
 from .certificates import (_parse_face_list, format_decomposition, format_dperfect,
                            format_superdense)
 from .complexes import HypercliqueComplex, face_text, sorted_faces
-from .elimination import check_superdense, check_supersolvable, find_dperfect_sequence, \
-    simplicial_faces
+from .elimination import (_peel_certificate, check_superdense, check_supersolvable,
+                          find_dperfect_sequence, simplicial_faces)
 from .errors import CertificateError, GuardExceeded, ParseError
 from .fields import Field
 from .instances import (Instance, field_from_token, gen_random, instance_complex,
@@ -50,10 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("supersolvable", parents=[inst],
                    help="decide supersolvability of the matroid")
 
-    p = sub.add_parser("triangulate", parents=[inst],
-                       help="triangulability and strong triangulability")
-    p.add_argument("--max-brute", type=int, metavar="N",
-                   help="enumeration limit for the strong check")
+    sub.add_parser("triangulate", parents=[inst],
+                   help="triangulability and strong triangulability")
 
     p = sub.add_parser("decompose", parents=[inst],
                        help="decompose a circuit along a simplicial peel")
@@ -153,11 +151,8 @@ def _cmd_triangulate(args) -> tuple[int, list[str]]:
     if not plain:
         lines.append("strongly-triangulable false")
         return 0, lines
-    kwargs = {}
-    if args.max_brute is not None:
-        kwargs = {"span_limit": args.max_brute, "subset_limit": args.max_brute}
     try:
-        strong = is_strongly_triangulable_brute(m, **kwargs)
+        strong = is_strongly_triangulable_brute(m)
     except GuardExceeded as exc:
         lines.append("strongly-triangulable inconclusive")
         lines.append(f"note {exc}")
@@ -171,7 +166,7 @@ def _cmd_decompose(args) -> tuple[int, list[str]]:
     c = instance_complex(inst)
     m = SimplicialMatroid(c, field)
     circuit = _parse_face_list(args.circuit, args.circuit)
-    peel = find_dperfect_sequence(c, field)
+    peel = _peel_certificate(c)
     if peel is None:
         raise ValueError("instance has no complete simplicial peel; cannot decompose")
     target = circuit_vector(m, circuit)

@@ -124,15 +124,21 @@ def _peel_search(c: HypercliqueComplex) -> list[tuple[int, frozenset[int]]] | No
     return dfs(frozenset(c.faces_k), [])
 
 
-def find_dperfect_sequence(c: HypercliqueComplex,
-                           field: Field = GF2) -> DPerfectCertificate | None:
-    """A verified complete simplicial peel, or None when none exists."""
+def _peel_certificate(c: HypercliqueComplex) -> DPerfectCertificate | None:
+    """The peel search's steps as a certificate, not yet verified."""
     steps = _peel_search(c)
     if steps is None:
         return None
-    cert = DPerfectCertificate(sequence=tuple(v for v, _ in steps),
+    return DPerfectCertificate(sequence=tuple(v for v, _ in steps),
                                cocircuits=tuple(st for _, st in steps))
-    verify_dperfect(c, field, cert)
+
+
+def find_dperfect_sequence(c: HypercliqueComplex,
+                           field: Field = GF2) -> DPerfectCertificate | None:
+    """A verified complete simplicial peel, or None when none exists."""
+    cert = _peel_certificate(c)
+    if cert is not None:
+        verify_dperfect(c, field, cert)
     return cert
 
 

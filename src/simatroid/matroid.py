@@ -273,8 +273,8 @@ def verify_full_duality(n: int, k: int, field: Field,
     exhaustively and compared as sets; over a finite field both spans are
     sized from the ranks first, and the check refuses if either exceeds
     limit vectors."""
-    if not (2 <= k <= n - 2):
-        raise ValueError(f"duality check needs 2 <= k <= n - 2, got n={n}, k={k}")
+    if not (2 <= k <= n - 2 and n <= 64):
+        raise ValueError(f"duality check needs 2 <= k <= n - 2 and n <= 64, got n={n}, k={k}")
     if n > max_n:
         raise GuardExceeded(f"duality check for n={n} exceeds the guard of {max_n}")
     m_k = SimplicialMatroid(full_complex(n, k), field)

@@ -4,8 +4,9 @@ The boundary of any (k+1)-face of the complex is a dependency among the
 k-faces (a "small" circuit).  A matroid here is triangulable when those
 boundaries span the whole circuit space, and strongly triangulable when
 every circuit can be written as a combination of small circuits whose
-apexes cover exactly the circuit's own vertices.  A complete simplicial
-peel turns the second property into an effective algorithm:
+apexes cover exactly the circuit's own vertices W; that is span
+membership in the boundaries of the (k+1)-faces inside W, one exact solve
+per circuit.  A complete simplicial peel gives an explicit decomposition:
 strong_decompose eliminates the circuit's support one peel stage at a
 time and emits a verified certificate.
 """
@@ -19,14 +20,10 @@ from .chains import ChainVector, boundary, boundary_columns
 from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_key, sorted_faces,
                         vertices)
 from .elimination import DPerfectCertificate, _verify_dperfect, simplicial_faces
-from .errors import CertificateError, GuardExceeded
-from .fields import GF2, Field, Scalar
-from .linalg import (IncrementalRank, _bit_indices, column_relations, dense_column,
-                     solve_columns, sparse_column)
-from .matroid import (DEFAULT_SPAN_LIMIT, SimplicialMatroid, _coset_supports,
-                      matroid_circuits_exhaustive)
-
-DEFAULT_SUBSET_LIMIT = 1 << 16
+from .errors import CertificateError
+from .fields import GF2, Scalar
+from .linalg import IncrementalRank, column_relations, dense_column, solve_columns, sparse_column
+from .matroid import SimplicialMatroid, matroid_circuits_exhaustive
 
 
 def is_triangulable(m: SimplicialMatroid) -> bool:
@@ -48,11 +45,6 @@ def _apex_columns(m: SimplicialMatroid) -> tuple[list[int], list]:
     return apexes, boundary_columns(m.complex, m.field, apexes, m.ground)[1]
 
 
-def _nullspace(cols: list, field: Field) -> list[tuple[Scalar, ...]]:
-    return [dense_column(field, rel, len(cols))
-            for rel in column_relations(cols, field)[1].values()]
-
-
 def circuit_vector(m: SimplicialMatroid, circuit) -> ChainVector:
     """The dependency supported on a circuit, scaled so the coefficient of
     the lex-smallest face is one.  Raises ValueError if the set is not a
@@ -60,7 +52,8 @@ def circuit_vector(m: SimplicialMatroid, circuit) -> ChainVector:
     faces = sorted(m._check_subset(circuit), key=face_sort_key)
     if not faces:
         raise ValueError("a circuit is nonempty")
-    kernel = _nullspace([m._cols[f] for f in faces], m.field)
+    _, relations = column_relations([m._cols[f] for f in faces], m.field)
+    kernel = [dense_column(m.field, rel, len(faces)) for rel in relations.values()]
     if len(kernel) != 1 or any(m.field.is_zero(x) for x in kernel[0]):
         raise ValueError("not a circuit of this matroid")
     scale = m.field.inv(kernel[0][0])
@@ -159,84 +152,33 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
     return result
 
 
-def _decomposable_over_finite(m: SimplicialMatroid, target, apex_cols: list,
-                              apexes: list[int], want: int, span_limit: int) -> bool:
-    field = m.field
-    particular = solve_columns(apex_cols, target, field)
-    if particular is None:
-        return False
-    kernel = _nullspace(apex_cols, field)
-    if field.p is not None and field.p ** len(kernel) > span_limit:
-        raise GuardExceeded(
-            f"{field.p}^{len(kernel)} candidate decompositions exceed the limit of {span_limit}")
-    for support in _coset_supports(particular, kernel, field.p):
-        cover = 0
-        for j in _bit_indices(support):
-            cover |= apexes[j]
-        if cover == want:
-            return True
-    return False
+def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
+    """Decide strong triangulability with one span test per circuit.
 
+    Lemma.  Let z be a circuit vector and W the union of its faces.  Then
+    z decomposes inside W iff z lies in the span of the boundaries of the
+    (k+1)-faces a with a inside W.  Necessity is plain.  For sufficiency
+    take any solution and keep its apexes with nonzero coefficients: each
+    lies inside W, so together they cover at most W; and each face f of
+    the support has z_f != 0, which some kept apex containing f must
+    supply, so they cover all of W.  The cover condition thus holds for
+    every solution, and one solve_columns call decides each circuit.
 
-def _decomposable_over_rationals(m: SimplicialMatroid, target, apex_cols: list,
-                                 apexes: list[int], want: int, subset_limit: int) -> bool:
-    if 2 ** len(apexes) > subset_limit:
-        raise GuardExceeded(
-            f"2^{len(apexes)} apex subsets exceed the limit of {subset_limit}")
-    field = m.field
-    for pick in range(1, 1 << len(apexes)):
-        chosen = [j for j in range(len(apexes)) if pick >> j & 1]
-        cover = 0
-        for j in chosen:
-            cover |= apexes[j]
-        if cover != want:
-            continue
-        cols = [apex_cols[j] for j in chosen]
-        sol = solve_columns(cols, target, field)
-        if sol is None:
-            continue
-        kernel = _nullspace(cols, field)
-        # Over an infinite field the solution coset avoids every coordinate
-        # hyperplane unless some coordinate vanishes identically on it.
-        if all(not field.is_zero(sol[j]) or any(not field.is_zero(vec[j]) for vec in kernel)
-               for j in range(len(chosen))):
-            return True
-    return False
-
-
-def is_strongly_triangulable_brute(m: SimplicialMatroid,
-                                   span_limit: int = DEFAULT_SPAN_LIMIT,
-                                   subset_limit: int = DEFAULT_SUBSET_LIMIT) -> bool:
-    """Exhaustively test decomposability of every circuit.
-
-    Adding generators never breaks a decomposition, so each circuit is
-    tested against the full set of candidate apexes inside its vertex
-    span.  Finite fields enumerate the solution coset; the rationals
-    enumerate apex subsets and reject coordinates that vanish on the
-    whole coset.  Raises GuardExceeded when the enumeration is too big
-    to finish, so False always means a genuine counterexample.
+    Only the circuit enumeration is exponential; it raises GuardExceeded
+    past its limit, so False always means a genuine counterexample.
     """
     if not is_triangulable(m):
         return False
-    circuits = matroid_circuits_exhaustive(m)
-    if not circuits:
-        return True
     skeleton, skeleton_cols = _apex_columns(m)
-    col_of = dict(zip(skeleton, skeleton_cols))
     pos = {f: i for i, f in enumerate(m.ground)}
-    for circuit in circuits:
+    for circuit in matroid_circuits_exhaustive(m):
         want = 0
         for f in circuit:
             want |= f
-        apexes = [x for x in skeleton if x & want == x]
-        cols = [col_of[x] for x in apexes]
+        cols = [col for x, col in zip(skeleton, skeleton_cols) if x & want == x]
         z = circuit_vector(m, circuit)
         z = sparse_column(m.field, [(pos[f], a) for f, a in z.items_lex()])
-        if m.field.is_finite:
-            ok = _decomposable_over_finite(m, z, cols, apexes, want, span_limit)
-        else:
-            ok = _decomposable_over_rationals(m, z, cols, apexes, want, subset_limit)
-        if not ok:
+        if solve_columns(cols, z, m.field) is None:
             return False
     return True
 

@@ -4,15 +4,16 @@ These are the straightforward versions the program once ran: Gauss-Jordan
 elimination over dense rows, and minimal supports found by comparing
 every support with every minimal one found before it; facets found by
 testing every vertex subset; supersolvability decided by searching the
-lattice of flats for a maximal chain of modular flats; and peel steps
-checked by those facets and by dense ranks.  They are slow but plain,
+lattice of flats for a maximal chain of modular flats; peel steps
+checked by those facets and by dense ranks; and circuit decompositions
+found by enumerating solution cosets or apex subsets.  They are slow but plain,
 so the sparse kernel and its callers are checked against them.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -153,18 +154,27 @@ def supersolvable_modular_chain(m) -> bool:
 
 
 
-def _boundary_rank(n: int, field, faces: frozenset[int]) -> int:
-    """Dense rank of the boundary columns of faces, signs alternating
-    along each face's sorted vertices."""
-    ridges = sorted({f & ~(1 << i) for f in faces for i in range(n) if f >> i & 1})
-    row = {ridge: j for j, ridge in enumerate(ridges)}
+def _signed_columns(n: int, faces: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
+    """Dense boundary columns of faces over the given row faces, signs
+    alternating along each face's sorted vertices."""
+    row = {r: j for j, r in enumerate(rows)}
     cols = []
-    for f in sorted(faces):
-        col = [0] * len(ridges)
+    for f in faces:
+        col = [0] * len(rows)
         for pos, i in enumerate(i for i in range(n) if f >> i & 1):
             col[row[f & ~(1 << i)]] = (-1) ** pos
         cols.append(col)
-    return dense_rank(transpose(cols, len(ridges)), field)
+    return cols
+
+
+def _ridges(n: int, faces: Iterable[int]) -> list[int]:
+    return sorted({f & ~(1 << i) for f in faces for i in range(n) if f >> i & 1})
+
+
+def _boundary_rank(n: int, field, faces: frozenset[int]) -> int:
+    """Dense rank of the boundary columns of faces."""
+    ridges = _ridges(n, faces)
+    return dense_rank(transpose(_signed_columns(n, sorted(faces), ridges), len(ridges)), field)
 
 
 def peel_step_checker(c, field):
@@ -198,3 +208,80 @@ def peel_step_checker(c, field):
         return not residual
 
     return ok
+
+
+def _dense_solve(cols: Sequence[Sequence], target: Sequence, field):
+    """(a particular solution, a nullspace basis) of sum_j x_j cols[j] ==
+    target, free coordinates zero; None when there is no solution."""
+    nrows, ncols = len(target), len(cols)
+    pivots, reduced = dense_rref(transpose(list(cols) + [target], nrows), field)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][ncols]
+    return x, dense_nullspace(transpose(cols, nrows), field, ncols)
+
+
+def decomposable_inside(c, field, circuit, span_limit: int, subset_limit: int) -> bool | None:
+    """Is the dependency on circuit a combination of boundaries of
+    (k+1)-faces whose apexes cover exactly its vertex set W?
+
+    The candidate apexes are the (k+1)-faces inside W.  Over GF(p) every
+    solution in the coset is tried and its nonzero apexes' cover compared
+    with W; over the rationals every apex subset covering W is tried, and
+    it works when no coordinate vanishes on its whole solution coset.
+    None when the coset holds more than span_limit vectors or there are
+    more than subset_limit apex subsets.
+    """
+    F = field
+    faces = sorted(circuit)
+    want = 0
+    for f in faces:
+        want |= f
+    ridges = _ridges(c.n, faces)
+    kernel = dense_nullspace(transpose(_signed_columns(c.n, faces, ridges), len(ridges)),
+                             F, len(faces))
+    assert len(kernel) == 1 and all(not F.is_zero(a) for a in kernel[0]), "not a circuit"
+    inside = sorted(f for f in c.faces_k if f & want == f)
+    z = dict(zip(faces, kernel[0]))
+    target = [z.get(f, F.zero) for f in inside]
+    verts = [i for i in range(c.n) if want >> i & 1]
+    apexes = [a for a in (sum(1 << i for i in sub) for sub in combinations(verts, c.k + 1))
+              if all((a & ~(1 << i)) in c.faces_k for i in verts if a >> i & 1)]
+    cols = _signed_columns(c.n, apexes, inside)
+
+    def cover(js) -> int:
+        out = 0
+        for j in js:
+            out |= apexes[j]
+        return out
+
+    if F.is_finite:
+        sol = _dense_solve(cols, target, F) if apexes else None
+        if sol is None:
+            return False
+        x, basis = sol
+        if F.p ** len(basis) > span_limit:
+            return None
+        for ts in product(range(F.p), repeat=len(basis)):
+            y = list(x)
+            for t, vec in zip(ts, basis):
+                y = [F.add(a, F.mul(t, b)) for a, b in zip(y, vec)]
+            if cover(j for j, a in enumerate(y) if not F.is_zero(a)) == want:
+                return True
+        return False
+    if 2 ** len(apexes) > subset_limit:
+        return None
+    for pick in range(1, 1 << len(apexes)):
+        chosen = [j for j in range(len(apexes)) if pick >> j & 1]
+        if cover(chosen) != want:
+            continue
+        sol = _dense_solve([cols[j] for j in chosen], target, F)
+        if sol is None:
+            continue
+        x, basis = sol
+        if all(not F.is_zero(x[j]) or any(not F.is_zero(vec[j]) for vec in basis)
+               for j in range(len(chosen))):
+            return True
+    return False

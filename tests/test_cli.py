@@ -120,9 +120,13 @@ def test_triangulate_paths(tmp_path):
 
 
 def test_triangulate_guard(tmp_path):
-    full = write_instance(gen_random(5, 2, 1, 0))
-    path = write_tmp(tmp_path, full, "k5.txt")
-    code, text = run_command(["triangulate", "--file", path, "--max-brute", "1"])
+    path = write_tmp(tmp_path, write_instance(gen_random(5, 2, 1, 0)), "k5.txt")
+    assert run_command(["triangulate", "--file", path, "--max-brute", "1"])[0] == 1
+    code, text = run_command(["triangulate", "--file", path])
+    assert code == 0 and "strongly-triangulable true" in text
+    # the full (12, 3) complex trips the circuit-enumeration guard
+    path = write_tmp(tmp_path, write_instance(gen_random(12, 3, 1, 0)), "full-12-3.txt")
+    code, text = run_command(["triangulate", "--file", path])
     assert code == 2 and "strongly-triangulable inconclusive" in text
 
 
@@ -162,6 +166,9 @@ def test_dual_check():
     assert code == 2 and "duality inconclusive" in text
     code, text = run_command(["dual-check", "--n", "4", "--k", "9"])
     assert code == 1
+    # out-of-range n is bad input, not a guard trip
+    code, text = run_command(["dual-check", "--n", "65", "--k", "2"])
+    assert code == 1 and text.startswith("error: duality check needs")
     # two spans of 2^20 vectors: refused before either is enumerated
     code, text = run_command(["dual-check", "--n", "7", "--k", "4"])
     assert code == 2 and text.splitlines()[-1] == (

@@ -1,15 +1,18 @@
 import pytest
 
-from conftest import PROJECTIVE_TRIPLES
+from conftest import EXAMPLE3_TRIPLES, PROJECTIVE_TRIPLES, graph_corpus, k3_corpus, stacked_faces
+from oracles import decomposable_inside
 
 from simatroid import (CertificateError, ChainVector, DPerfectCertificate, GF, GF2,
                       GuardExceeded, QQ,
                       SimplicialMatroid, TriangulationCertificate, build_complex,
-                      circuit_vector, face, find_dperfect_sequence, full_complex,
-                      gen_projective_plane, gen_prop54,
+                      check_chordal_graph, circuit_vector, face, find_dperfect_sequence,
+                      full_complex, gen_projective_plane, gen_prop54, instance_complex,
                       is_strongly_triangulable_brute, is_triangulable,
                       matroid_circuits_exhaustive, sorted_faces, strong_decompose,
                       verify_decomposition, vertices)
+from simatroid.linalg import solve_columns, sparse_column
+from simatroid.triangulate import _apex_columns
 
 CHORD4 = [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
 
@@ -130,13 +133,69 @@ def test_strongly_triangulable_small_cases():
 
 
 def test_strongly_triangulable_guards():
-    k5 = SimplicialMatroid(full_complex(5, 2), GF2)
+    for field in (GF2, QQ):
+        assert is_strongly_triangulable_brute(SimplicialMatroid(full_complex(5, 2), field))
+    # the circuit enumeration is the one guard left
     with pytest.raises(GuardExceeded):
-        is_strongly_triangulable_brute(k5, span_limit=1)
-    k5q = SimplicialMatroid(full_complex(5, 2), QQ)
-    with pytest.raises(GuardExceeded):
-        is_strongly_triangulable_brute(k5q, subset_limit=8)
-    assert is_strongly_triangulable_brute(k5q)
+        is_strongly_triangulable_brute(SimplicialMatroid(full_complex(12, 3), GF2))
+    # 18 edges, 21 triangles inside one circuit's vertices: 2^21 apex subsets
+    inst = graph_corpus()[48]
+    m = SimplicialMatroid(instance_complex(inst), QQ)
+    assert is_strongly_triangulable_brute(m) == check_chordal_graph(inst.faces, inst.n)
+
+
+def test_strongly_triangulable_matches_enumeration_oracle():
+    # the oracle's limits keep it near a second; it decides every pair here
+    small = [inst for inst in graph_corpus()[:40] + k3_corpus()[:24] if len(inst.faces) <= 12]
+    complexes = [instance_complex(inst) for inst in small] + [
+        gen_prop54(5, 2), gen_prop54(6, 3), gen_prop54(7, 3),
+        build_complex(7, 3, stacked_faces(7, 3, 1))]
+    decided = 0
+    for c in complexes:
+        for field in (GF2, GF(3), GF(5), QQ):
+            m = SimplicialMatroid(c, field)
+            got = is_strongly_triangulable_brute(m)
+            if c.k == 2:
+                assert got == check_chordal_graph(c.faces_k, c.n)
+            want = True
+            for circuit in sorted(matroid_circuits_exhaustive(m), key=sorted):
+                answer = decomposable_inside(c, field, circuit, 512, 512)
+                if answer is False:
+                    want = False
+                    break
+                if answer is None:
+                    want = None
+            if want is not None:
+                assert got == want
+                decided += 1
+    assert decided >= 200
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), GF(5), QQ], ids=str)
+def test_any_span_solution_covers_the_circuit(field):
+    # the lemma behind is_strongly_triangulable_brute: apexes inside the
+    # circuit's vertex set W with nonzero coefficients cover exactly W
+    complexes = [build_complex(4, 2, CHORD4), full_complex(5, 2),
+                 build_complex(7, 3, stacked_faces(7, 3, 1)), build_complex(9, 3, EXAMPLE3_TRIPLES)]
+    for c in complexes:
+        m = SimplicialMatroid(c, field)
+        skeleton, skeleton_cols = _apex_columns(m)
+        pos = {f: i for i, f in enumerate(m.ground)}
+        circuits = matroid_circuits_exhaustive(m)
+        assert circuits
+        for circuit in circuits:
+            want = 0
+            for f in circuit:
+                want |= f
+            apexes = [(x, col) for x, col in zip(skeleton, skeleton_cols) if x & want == x]
+            z = circuit_vector(m, circuit)
+            sol = solve_columns([col for _, col in apexes],
+                                sparse_column(field, [(pos[f], a) for f, a in z.items_lex()]),
+                                field)
+            assert sol is not None, "a complex with a peel is strongly triangulable"
+            terms = tuple((x, a) for (x, _), a in zip(apexes, sol) if not field.is_zero(a))
+            # checks the sum, and that the apexes cover exactly W
+            verify_decomposition(m, TriangulationCertificate(z, terms))
 
 
 def test_projective_plane_generator():
