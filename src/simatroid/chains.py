@@ -68,9 +68,6 @@ class ChainVector:
             out[f] = F.add(out.get(f, F.zero), F.mul(a, c))
         return ChainVector(F, out)
 
-    def dense(self, order: Sequence[int]) -> tuple[Scalar, ...]:
-        return tuple(self.coeff(f) for f in order)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ChainVector) and self.field == other.field
                 and self._coeffs == other._coeffs)

@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="circuits of the full complement complex vs cocircuits")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-brute", type=int, metavar="N", help="largest n to attempt")
 
     p = sub.add_parser("gen", parents=[common], help="write a named instance")
     p.add_argument("kind", choices=("projective-plane", "prop54", "random"))
@@ -180,9 +179,8 @@ def _cmd_decompose(args) -> tuple[int, list[str]]:
 def _cmd_dual_check(args) -> tuple[int, list[str]]:
     field = field_from_token(args.field) if args.field else field_from_token("2")
     lines = [f"n {args.n}", f"k {args.k}", f"field {field.name}"]
-    kwargs = {} if args.max_brute is None else {"max_n": args.max_brute}
     try:
-        ok = verify_full_duality(args.n, args.k, field, **kwargs)
+        ok = verify_full_duality(args.n, args.k, field)
     except GuardExceeded as exc:
         lines.append("duality inconclusive")
         lines.append(f"note {exc}")

@@ -68,17 +68,6 @@ def submasks_of_size(mask: int, r: int) -> Iterator[int]:
         yield reduce(int.__or__, combo, 0)
 
 
-def incidence(small: int, big: int) -> int:
-    """(-1)^j if small is big with its j-th smallest vertex removed, else 0."""
-    if small & big != small:
-        return 0
-    diff = big & ~small
-    if diff.bit_count() != 1:
-        return 0
-    position = (big & (diff - 1)).bit_count() + 1
-    return -1 if position % 2 else 1
-
-
 class HypercliqueComplex:
     """The largest simplicial complex with a prescribed set of k-faces."""
 
@@ -145,39 +134,18 @@ class HypercliqueComplex:
         """The k-faces strictly containing v (for |v| = k - 1, the star of v)."""
         return frozenset(f for f in self.faces_k if f & v == v and f != v)
 
-    def extension_vertices(self, f: int) -> list[int]:
-        """Vertices x with f | {x} still a face; f itself must be a face of size >= k."""
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            if f & bit:
-                continue
-            if all(w | bit in self.faces_k for w in submasks_of_size(f, self.k - 1)):
-                out.append(i + 1)
-        return out
-
     @cached_property
     def facets(self) -> frozenset[int]:
-        """All maximal faces."""
+        """All maximal faces: for each d >= k - 1, the d-faces that no
+        (d+1)-face covers, up to the first empty level.  Level k - 1 holds
+        every (k-1)-set, so those in no k-face come out as facets too."""
         maximal: set[int] = set()
-        # (k-1)-sets meeting no k-face are maximal themselves
-        for v in all_faces(self.n, self.k - 1):
-            if not self.star(v):
-                maximal.add(v)
-        # larger facets are found by growing k-faces one vertex at a time
-        seen = set(self.faces_k)
-        stack = list(self.faces_k)
-        while stack:
-            f = stack.pop()
-            ext = self.extension_vertices(f)
-            if not ext:
-                maximal.add(f)
-                continue
-            for x in ext:
-                g = f | (1 << (x - 1))
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
+        d, level = self.k - 1, self.skeleton(self.k - 1)
+        while level:
+            above = self.skeleton(d + 1)
+            covered = {g & ~(1 << b) for g in above for b in _bit_positions(g)}
+            maximal.update(level - covered)
+            d, level = d + 1, above
         return frozenset(maximal)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -91,12 +91,6 @@ class Field:
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
-
-    def elements(self) -> Iterator[Scalar]:
-        """All field elements, ascending.  Finite fields only."""
-        if self.p is None:
-            raise ValueError("cannot enumerate the rationals")
-        return iter(range(self.p))
 
     def format(self, a: Scalar) -> str:
         return str(a)

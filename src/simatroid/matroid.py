@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .chains import BoundaryMatrix, ChainVector, boundary, boundary_columns, boundary_matrix
+from .chains import ChainVector, boundary, boundary_columns
 from .complexes import HypercliqueComplex, face_sort_key, full_complex, sorted_faces, vertices
 from .errors import GuardExceeded
 from .fields import Field, Scalar
@@ -24,7 +25,6 @@ from .linalg import (IncrementalRank, _bit_indices, column_relations, combine, d
                      echelon_rows, sparse_column)
 
 DEFAULT_BRUTE_GROUND = 22
-DEFAULT_DUALITY_N = 7
 DEFAULT_SPAN_LIMIT = 1 << 22
 DEFAULT_DUALITY_SPAN = 1 << 16
 
@@ -55,10 +55,6 @@ class SimplicialMatroid:
         _, cols = boundary_columns(self.complex, self.field, self.ground)
         return dict(zip(self.ground, cols))
 
-    @cached_property
-    def boundary_matrix(self) -> BoundaryMatrix:
-        return boundary_matrix(self.complex, self.field)
-
     @property
     def rank(self) -> int:
         return self.rank_of(self.ground)
@@ -81,10 +77,6 @@ class SimplicialMatroid:
         r = inc.rank
         self._rank_cache[fs] = r
         return r
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        fs = self._check_subset(subset)
-        return self.rank_of(fs) == len(fs)
 
     def is_cocircuit(self, candidate: Iterable[int]) -> bool:
         return self.is_cocircuit_within(self._ground_set, candidate)
@@ -265,27 +257,31 @@ def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPA
     return out
 
 
-def verify_full_duality(n: int, k: int, field: Field,
-                        max_n: int = DEFAULT_DUALITY_N,
-                        limit: int = DEFAULT_DUALITY_SPAN) -> bool:
+def verify_full_duality(n: int, k: int, field: Field) -> bool:
     """Complementation maps the circuits of the full (n-k)-matroid onto the
     cocircuits of the full k-matroid on [n].  Both families are computed
-    exhaustively and compared as sets; over a finite field both spans are
-    sized from the ranks first, and the check refuses if either exceeds
-    limit vectors."""
+    exhaustively and compared as sets.
+
+    The work is sized in closed form before either matroid is built, and
+    the check refuses above DEFAULT_DUALITY_SPAN.  Over GF(p) both spans
+    (the row space of the k-matroid and the nullspace of the (n-k)-matroid)
+    have dimension C(n-1, k-1), since the full simplex is acyclic over
+    every field; over the rationals the cocircuit scan visits 2^C(n, k)
+    subsets.  The exponents are compared first, so no huge power is formed.
+    """
     if not (2 <= k <= n - 2 and n <= 64):
         raise ValueError(f"duality check needs 2 <= k <= n - 2 and n <= 64, got n={n}, k={k}")
-    if n > max_n:
-        raise GuardExceeded(f"duality check for n={n} exceeds the guard of {max_n}")
+    limit = DEFAULT_DUALITY_SPAN
+    if field.is_finite:
+        base, dim, what = field.p, comb(n - 1, k - 1), "a span of {} vectors"
+    else:
+        base, dim, what = 2, comb(n, k), "a scan of {} subsets"
+    if dim >= limit.bit_length() or base ** dim > limit:
+        size = f"{base}^{dim}" + (f" = {base ** dim}" if dim < 64 else "")
+        raise GuardExceeded(f"duality check needs {what.format(size)}, "
+                            f"above the limit of {limit}")
     m_k = SimplicialMatroid(full_complex(n, k), field)
     m_nk = SimplicialMatroid(full_complex(n, n - k), field)
-    if field.is_finite:
-        dim = max(len(m_nk.ground) - m_nk.rank, m_k.rank)
-        if field.p ** dim > limit:
-            raise GuardExceeded(f"duality check needs a span of {field.p}^{dim} = "
-                                f"{field.p ** dim} vectors, above the limit of {limit}")
     full_mask = (1 << n) - 1
-    circuits = matroid_circuits_exhaustive(m_nk, limit)
-    cocircuits = matroid_cocircuits_exhaustive(m_k, limit)
-    mapped = {frozenset(full_mask ^ x for x in c) for c in circuits}
-    return mapped == cocircuits
+    mapped = {frozenset(full_mask ^ x for x in c) for c in matroid_circuits_exhaustive(m_nk, limit)}
+    return mapped == matroid_cocircuits_exhaustive(m_k, limit)

@@ -7,7 +7,9 @@ testing every vertex subset; supersolvability decided by searching the
 lattice of flats for a maximal chain of modular flats; peel steps
 checked by those facets and by dense ranks; and circuit decompositions
 found by enumerating solution cosets or apex subsets.  They are slow but plain,
-so the sparse kernel and its callers are checked against them.
+so the sparse kernel and its callers are checked against them.  The
+incidence sign of a face in the boundary of a larger one is here too, as
+the sign rule the boundary columns are checked against.
 """
 
 from __future__ import annotations
@@ -154,6 +156,15 @@ def supersolvable_modular_chain(m) -> bool:
 
 
 
+def incidence(small: int, big: int) -> int:
+    """(-1)^j if small is big with its j-th smallest vertex removed, else 0."""
+    diff = big & ~small
+    if small & big != small or diff.bit_count() != 1:
+        return 0
+    position = (big & (diff - 1)).bit_count() + 1
+    return -1 if position % 2 else 1
+
+
 def _signed_columns(n: int, faces: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
     """Dense boundary columns of faces over the given row faces, signs
     alternating along each face's sorted vertices."""
@@ -171,7 +182,7 @@ def _ridges(n: int, faces: Iterable[int]) -> list[int]:
     return sorted({f & ~(1 << i) for f in faces for i in range(n) if f >> i & 1})
 
 
-def _boundary_rank(n: int, field, faces: frozenset[int]) -> int:
+def boundary_rank(n: int, field, faces: frozenset[int]) -> int:
     """Dense rank of the boundary columns of faces."""
     ridges = _ridges(n, faces)
     return dense_rank(transpose(_signed_columns(n, sorted(faces), ridges), len(ridges)), field)
@@ -189,7 +200,7 @@ def peel_step_checker(c, field):
     one peel are cheap to check.
     """
     facets = cache(lambda faces: brute_facets(SimpleNamespace(n=c.n, k=c.k, faces_k=faces)))
-    rank = cache(lambda faces: _boundary_rank(c.n, field, faces))
+    rank = cache(lambda faces: boundary_rank(c.n, field, faces))
 
     def ok(steps) -> bool:
         residual = frozenset(c.faces_k)

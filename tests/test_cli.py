@@ -1,10 +1,13 @@
 import contextlib
 import io
+import time
 
-from simatroid import (GF2, SimplicialMatroid, build_complex, check_chordal_graph, gen_random,
-                      parse_decomposition, parse_dperfect, parse_instance,
+import pytest
+
+from simatroid import (GF2, GuardExceeded, SimplicialMatroid, build_complex, check_chordal_graph,
+                      gen_random, parse_decomposition, parse_dperfect, parse_instance,
                       parse_superdense, verify_decomposition, verify_dperfect,
-                      verify_superdense, write_instance, QQ)
+                      verify_full_duality, verify_superdense, write_instance, QQ)
 from simatroid.cli import main, run_command
 
 CHORD4_TEXT = "4 2\n1 2\n1 3\n1 4\n2 3\n3 4\n"
@@ -162,8 +165,21 @@ def test_decompose_errors(tmp_path):
 def test_dual_check():
     code, text = run_command(["dual-check", "--n", "5", "--k", "2"])
     assert code == 0 and "duality true" in text
-    code, text = run_command(["dual-check", "--n", "8", "--k", "2", "--max-brute", "7"])
-    assert code == 2 and "duality inconclusive" in text
+    # no guard flag: the one guard is sized before any work
+    assert run_command(["dual-check", "--n", "7", "--k", "2", "--max-brute", "7"])[0] == 1
+    code, text = run_command(["dual-check", "--n", "8", "--k", "2"])
+    assert code == 0 and "duality true" in text
+    for n, k, subsets in (("7", "2", "2^21 = 2097152"), ("6", "3", "2^20 = 1048576")):
+        t0 = time.perf_counter()
+        code, text = run_command(["dual-check", "--n", n, "--k", k, "--field", "q"])
+        assert time.perf_counter() - t0 < 0.2
+        assert code == 2 and text.splitlines()[-1] == (
+            f"note duality check needs a scan of {subsets} subsets, above the limit of 65536")
+    # C(63, 31), about 9.2e17, is compared as an exponent, never raised to
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match=r"a span of 2\^916312070471295267 vectors"):
+        verify_full_duality(64, 32, GF2)
+    assert time.perf_counter() - t0 < 0.1
     code, text = run_command(["dual-check", "--n", "4", "--k", "9"])
     assert code == 1
     # out-of-range n is bad input, not a guard trip

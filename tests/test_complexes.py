@@ -2,11 +2,13 @@ import itertools
 from math import comb
 
 import pytest
+from conftest import stacked_faces
+from oracles import brute_facets, incidence
 
 from simatroid import (HypercliqueComplex, all_faces, build_complex, face, face_of,
                       face_sort_key, face_text, full_complex, gen_random, instance_complex,
                       sorted_faces, vertices)
-from simatroid.complexes import incidence, submasks_of_size
+from simatroid.complexes import submasks_of_size
 
 
 def brute_faces(c):
@@ -80,24 +82,23 @@ def test_is_face_and_skeleton_against_brute():
 
 
 def test_facets_against_brute():
-    for c in small_instances(15, 6, 2, 400) + small_instances(15, 5, 3, 450, "3/5"):
-        expected = brute_faces(c)
-        brute_facets = {f for f in expected
-                        if not any(g != f and g & f == f for g in expected)}
-        assert c.facets == brute_facets
+    complexes = (small_instances(15, 6, 2, 400) + small_instances(15, 5, 3, 450, "3/5")
+                 + small_instances(8, 7, 4, 470, "3/5")
+                 + [build_complex(n, k, []) for n, k in ((2, 2), (5, 2), (6, 3), (7, 4))]
+                 + [full_complex(n, k) for n in range(2, 10) for k in range(2, n + 1)]
+                 + [build_complex(12, 3, stacked_faces(12, 3, s)) for s in range(4)]
+                 # (k-1)-sets in no k-face beside larger facets
+                 + [build_complex(5, 2, [(1, 2), (1, 3), (2, 3)]),
+                    build_complex(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+                    build_complex(6, 4, [(1, 2, 3, 4), (3, 4, 5, 6)])])
+    for c in complexes:
+        assert c.facets == brute_facets(c), c
 
 
 def test_star():
     c = build_complex(5, 3, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (1, 4, 5)])
     assert c.star(face(1, 2)) == {face(1, 2, 3), face(1, 2, 4)}
     assert c.star(face(3, 5)) == frozenset()
-
-
-def test_extension_vertices():
-    c = build_complex(4, 2, [(1, 2), (1, 3), (2, 3), (3, 4)])
-    assert c.extension_vertices(face(1, 2)) == [3]
-    assert c.extension_vertices(face(1, 2, 3)) == []
-    assert c.extension_vertices(face(3)) == [1, 2, 4]
 
 
 def test_full_complex():

@@ -1,13 +1,13 @@
 import itertools
 import random
+from math import comb
 
 import pytest
-from oracles import closure, minimal_supports
+from oracles import boundary_rank, closure, minimal_supports
 
-from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, boundary_matrix,
-                      build_complex, face, full_complex, gen_random, instance_complex,
-                      matroid_circuits_exhaustive, matroid_cocircuits_exhaustive,
-                      verify_full_duality)
+from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, build_complex, face,
+                      full_complex, gen_random, instance_complex, matroid_circuits_exhaustive,
+                      matroid_cocircuits_exhaustive, verify_full_duality)
 from simatroid.linalg import column_relations, dense_column, echelon_rows
 from simatroid.matroid import _minimal_supports, _span_supports
 
@@ -20,18 +20,24 @@ def random_matroid(seed, n, k, field, density="1/2"):
 def test_rank_matches_dense_matrix(field):
     for seed in range(12):
         m = random_matroid(200 + seed, 6, 2 + seed % 2, field)
-        assert m.rank == m.boundary_matrix.matrix.rank()
+        assert m.rank == boundary_rank(m.complex.n, field, m.complex.faces_k)
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ])
+def test_full_complex_rank_closed_form(field):
+    # the full simplex is acyclic over every field, so the k-boundaries of
+    # the full complex span a space of dimension C(n-1, k-1)
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            assert SimplicialMatroid(full_complex(n, k), field).rank == comb(n - 1, k - 1)
 
 
 def test_rank_of_subsets_matches_submatrix():
     rng = random.Random(31)
     m = random_matroid(77, 6, 2, GF2, "3/5")
-    bm = m.boundary_matrix
-    idx = {f: j for j, f in enumerate(bm.col_faces)}
     for _ in range(25):
         sub = frozenset(f for f in m.ground if rng.random() < 0.5)
-        expect = bm.matrix.column_submatrix(sorted(idx[f] for f in sub)).rank()
-        assert m.rank_of(sub) == expect
+        assert m.rank_of(sub) == boundary_rank(m.complex.n, GF2, sub)
     with pytest.raises(ValueError):
         m.rank_of([face(1, 2, 3)])
 
@@ -68,9 +74,9 @@ def test_independent_and_circuits_definition():
     for field in (GF2, GF(3)):
         m = random_matroid(900, 6, 2, field, "3/5")
         for circuit in m.circuits_brute():
-            assert not m.is_independent(circuit)
+            assert m.rank_of(circuit) < len(circuit)
             for f in circuit:
-                assert m.is_independent(circuit - {f})
+                assert m.rank_of(circuit - {f}) == len(circuit) - 1
 
 
 def test_circuits_brute_agrees_with_span_enumeration():
@@ -118,14 +124,13 @@ def test_cocircuits_exhaustive_rational_matches_gf3():
 
 def test_small_circuits():
     m = random_matroid(808, 6, 3, GF(3), "7/10")
-    bm = m.boundary_matrix
     for sc in m.small_circuits():
         assert sc.apex.bit_count() == 4
         assert sc.members == sc.vector.support
         assert all(f.bit_count() == 3 for f in sc.members)
         assert len(sc.members) == 4
-        dense = sc.vector.dense(m.ground)
-        assert all(m.field.is_zero(x) for x in bm.matrix.mul_vector(dense))
+        assert m.is_dependency(sc.vector)
+        assert boundary_rank(m.complex.n, m.field, sc.members) == 3
 
 
 def test_duality_validation():
