@@ -77,9 +77,12 @@ def parse_dperfect(text: str) -> DPerfectCertificate:
 
 
 def format_superdense(cert: SuperdenseCertificate) -> str:
+    """Each face is sorted and rendered once; a flat is the rendered list
+    filtered down to its members."""
+    rendered = [(f, face_text(f)) for f in sorted_faces(frozenset().union(*cert.chain))]
     lines = ["begin superdense"]
     for i in range(len(cert.witnesses) - 1, -1, -1):
-        flat = _format_face_list(cert.chain[i])
+        flat = " , ".join(text for f, text in rendered if f in cert.chain[i])
         lines.append(f"witness {face_text(cert.witnesses[i])} : flat"
                      + (f" {flat}" if flat else ""))
     lines.append("end superdense")

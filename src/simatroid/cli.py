@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .certificates import (_parse_face_list, format_decomposition, format_dperfect,
                            format_superdense)
@@ -25,7 +26,9 @@ from .triangulate import (circuit_vector, gen_projective_plane, gen_prop54,
                           is_strongly_triangulable_brute, is_triangulable, strong_decompose)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="simatroid",
         description="Matroids of boundary maps of k-hyperclique complexes.")

@@ -9,7 +9,7 @@ as integer bitmasks, bit (v - 1) standing for vertex v.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -63,9 +63,9 @@ def all_faces(n: int, d: int) -> list[int]:
 
 
 def submasks_of_size(mask: int, r: int) -> Iterator[int]:
+    """The r-element submasks of mask, in lexicographic order."""
     bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-    for combo in itertools.combinations(bits, r):
-        yield reduce(int.__or__, combo, 0)
+    return map(sum, itertools.combinations(bits, r))
 
 
 class HypercliqueComplex:

@@ -11,11 +11,14 @@ checks both, each cocircuit by rank rather than by facet arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
-from .complexes import HypercliqueComplex, all_faces, vertices
+from .complexes import (HypercliqueComplex, all_faces, face_sort_key, submasks_of_size,
+                        vertices)
 from .errors import CertificateError
 from .fields import GF2, Field
+from .linalg import IncrementalRank
 from .matroid import SimplicialMatroid
 
 
@@ -59,26 +62,55 @@ class DPerfectCertificate:
 
 
 def _verify_peel(m: SimplicialMatroid, steps: Iterable[tuple[int, frozenset[int]]]) -> None:
-    """Walk the (face, claimed star) steps of a peel down from the ground
-    set: each face must be a simplicial (k-1)-face of the residual, the
-    claim its star there, and the star a cocircuit of the residual by
-    rank.  The steps must exhaust the k-faces."""
+    """Check that the (face v, claimed star S) steps are a complete
+    simplicial peel of m, each S a cocircuit of its residual.
+
+    One pass from the last step to the first, adding each S back to H,
+    the faces restored so far, on one elimination kernel.  At each step:
+    (a) v is a (k-1)-set; S is non-empty, inside the ground set, and every
+    member contains v; no face of H contains v (by counts kept here), so S
+    is disjoint from H and is the star of v in H | S.  (b) Every k-subset
+    of the union of v and S lies in H | S, so v is simplicial there.
+    (c) Every member of S lies outside span(H) and S raises the rank by
+    exactly one: H is a flat of rank one less in H | S, that is S is a
+    cocircuit.  (d) At the end H is the ground set, which makes each
+    H | S the residual of the peel read forward.
+
+    (c) cannot fail once (a) and (b) hold: row v is nonzero in every
+    member of S and in no face of H, and the boundary of each (k+1)-face
+    v | {x, y} inside the union ties v | {y} to v | {x} and H.  It stays
+    as the check by rank, apart from the facet arithmetic of (a) and (b)."""
     c = m.complex
-    residual = frozenset(m.ground)
-    for step, (v, claimed) in enumerate(steps, start=1):
-        if v.bit_count() != c.k - 1:
+    k = c.k
+    ground = m._ground_set
+    cols = m._cols
+    inc = IncrementalRank(m.field)
+    restored: set[int] = set()
+    above: dict[int, int] = {}      # (k-1)-set -> faces of H containing it
+    steps = list(steps)
+    for step in range(len(steps), 0, -1):
+        v, claimed = steps[step - 1]
+        if v.bit_count() != k - 1:
             raise CertificateError(f"step {step}: entry is not a (k-1)-element face")
-        comp = HypercliqueComplex(c.n, c.k, residual)
-        if not is_simplicial_face(comp, v):
+        if not claimed <= ground or any(f & v != v for f in claimed) or above.get(v):
+            raise CertificateError(f"step {step}: recorded cocircuit does not match the star")
+        union = v
+        for f in claimed:
+            union |= f
+        if not claimed or any(t not in restored and t not in claimed
+                              for t in submasks_of_size(union, k)):
             raise CertificateError(
                 f"step {step}: {vertices(v)} is not simplicial in the residual complex")
-        st = comp.star(v)
-        if st != claimed:
-            raise CertificateError(f"step {step}: recorded cocircuit does not match the star")
-        if not m.is_cocircuit_within(residual, st):
+        before = inc.rank
+        outside = all(inc.reduce(cols[f]) for f in claimed)
+        inc.extend([cols[f] for f in claimed])
+        if not outside or inc.rank != before + 1:
             raise CertificateError(f"step {step}: star is not a cocircuit of the residual")
-        residual = residual - st
-    if residual:
+        restored |= claimed
+        for f in claimed:
+            for u in submasks_of_size(f, k - 1):
+                above[u] = above.get(u, 0) + 1
+    if restored != ground:
         raise CertificateError("peel did not exhaust the k-faces")
 
 
@@ -94,34 +126,107 @@ def _verify_dperfect(m: SimplicialMatroid, cert: DPerfectCertificate) -> None:
     _verify_peel(m, zip(cert.sequence, cert.cocircuits))
 
 
+class _ResidualIndex:
+    """A complex being peeled, indexed for the peel search and updated in
+    place: the live k-faces, the live star of each (k-1)-set, and the set
+    of simplicial (k-1)-sets, those whose star is non-empty with a face as
+    its union.
+
+    Peeling v with star S can change the status only of the (k-1)-subsets
+    of the facet U = v | union(S), so only those are rechecked, and undo
+    puts their old status back.  Why only those: a (k-1)-set whose star
+    lost a face lies in that face, inside U.  A simplicial u whose union
+    U(u) lost a face g of S has v inside g inside U(u); U(u) is a face,
+    so v | {x} is a live face, in S, for every x in U(u), and U(u) lies
+    inside U.  Removing faces never makes a union a face, so no other
+    (k-1)-set becomes simplicial.
+    """
+
+    def __init__(self, c: HypercliqueComplex):
+        self.k = k = c.k
+        self.live = set(c.faces_k)
+        self._ridges = {f: tuple(submasks_of_size(f, k - 1)) for f in self.live}
+        self.star: dict[int, set[int]] = {}
+        for f, rs in self._ridges.items():
+            for u in rs:
+                self.star.setdefault(u, set()).add(f)
+        self._key = {u: face_sort_key(u) for u in self.star}
+        self._subsets = cache(lambda mask, r: tuple(submasks_of_size(mask, r)))
+        self.simplicial = {u for u in self.star if self._is_simplicial(u)}
+        self._trail: list[tuple[frozenset[int], tuple[int, ...], set[int]]] = []
+
+    def _is_simplicial(self, u: int) -> bool:
+        st = self.star[u]
+        if not st:
+            return False
+        union = u
+        for f in st:
+            union |= f
+        return self.live.issuperset(self._subsets(union, self.k))
+
+    def candidates(self) -> list[int]:
+        """The simplicial (k-1)-sets in lexicographic order."""
+        return sorted(self.simplicial, key=self._key.__getitem__)
+
+    def peel(self, v: int) -> frozenset[int]:
+        """Remove the star of the simplicial (k-1)-set v and return it."""
+        st = frozenset(self.star[v])
+        union = v
+        for f in st:
+            union |= f
+        self.live.difference_update(st)
+        for f in st:
+            for u in self._ridges[f]:
+                self.star[u].discard(f)
+        touched = self._subsets(union, self.k - 1)
+        self._trail.append((st, touched, self.simplicial.intersection(touched)))
+        self.simplicial.difference_update(touched)
+        self.simplicial.update(u for u in touched if self._is_simplicial(u))
+        return st
+
+    def undo(self) -> None:
+        """Put back the star the latest peel removed."""
+        st, touched, saved = self._trail.pop()
+        self.live.update(st)
+        for f in st:
+            for u in self._ridges[f]:
+                self.star[u].add(f)
+        self.simplicial.difference_update(touched)
+        self.simplicial.update(saved)
+
+
 def _peel_search(c: HypercliqueComplex) -> list[tuple[int, frozenset[int]]] | None:
     """(face, star) steps of the lex-first complete simplicial peel, or None.
 
     For k = 2 one greedy dive decides: eliminating any simplicial vertex
     of a chordal graph leaves a chordal graph, so the greedy dive cannot
     dead-end unless every dive does.  For k > 2 the search backtracks,
-    remembering the residuals that have no complete peel.
+    remembering the residuals that have no complete peel.  Candidates are
+    tried in lexicographic order, as simplicial_faces lists them; the
+    residual is a _ResidualIndex, peeled and restored in place.
     """
-    n, k = c.n, c.k
+    index = _ResidualIndex(c)
     failed: set[frozenset[int]] = set()
+    acc: list[tuple[int, frozenset[int]]] = []
 
-    def dfs(faces: frozenset[int], acc: list) -> list | None:
-        if not faces:
-            return acc
-        if faces in failed:
-            return None
-        comp = HypercliqueComplex(n, k, faces)
-        for v in simplicial_faces(comp):
-            st = comp.star(v)
-            result = dfs(faces - st, acc + [(v, st)])
-            if result is not None:
-                return result
-            if k == 2:
+    def dfs() -> bool:
+        if not index.live:
+            return True
+        residual = frozenset(index.live)
+        if residual in failed:
+            return False
+        for v in index.candidates():
+            acc.append((v, index.peel(v)))
+            if dfs():
+                return True
+            acc.pop()
+            index.undo()
+            if c.k == 2:
                 break
-        failed.add(faces)
-        return None
+        failed.add(residual)
+        return False
 
-    return dfs(frozenset(c.faces_k), [])
+    return acc if dfs() else None
 
 
 def _peel_certificate(c: HypercliqueComplex) -> DPerfectCertificate | None:

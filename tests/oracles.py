@@ -5,8 +5,11 @@ elimination over dense rows, and minimal supports found by comparing
 every support with every minimal one found before it; facets found by
 testing every vertex subset; supersolvability decided by searching the
 lattice of flats for a maximal chain of modular flats; peel steps
-checked by those facets and by dense ranks; and circuit decompositions
-found by enumerating solution cosets or apex subsets.  They are slow but plain,
+checked by those facets and by dense ranks; the peel search that
+rescans every (k-1)-set at every step and the peel verifier that walks
+the steps forward, rebuilding the residual complex each time; and
+circuit decompositions found by enumerating solution cosets or apex
+subsets.  They are slow but plain,
 so the sparse kernel and its callers are checked against them.  The
 incidence sign of a face in the boundary of a larger one is here too, as
 the sign rule the boundary columns are checked against.
@@ -18,6 +21,9 @@ from functools import cache
 from itertools import combinations, product
 from types import SimpleNamespace
 from typing import Iterable, Sequence
+
+from simatroid import CertificateError, HypercliqueComplex, is_simplicial_face, simplicial_faces
+from simatroid.complexes import vertices
 
 
 def dense_rref(rows: Sequence[Sequence], field) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
@@ -219,6 +225,57 @@ def peel_step_checker(c, field):
         return not residual
 
     return ok
+
+
+def rescanning_peel_search(c) -> list[tuple[int, frozenset[int]]] | None:
+    """(face, star) steps of the lex-first complete simplicial peel, or
+    None: at every node a fresh complex of the residual and a scan of all
+    its (k-1)-sets; one dive for k = 2, backtracking over the failed
+    residuals for k > 2."""
+    n, k = c.n, c.k
+    failed: set[frozenset[int]] = set()
+
+    def dfs(faces: frozenset[int], acc: list) -> list | None:
+        if not faces:
+            return acc
+        if faces in failed:
+            return None
+        comp = HypercliqueComplex(n, k, faces)
+        for v in simplicial_faces(comp):
+            st = comp.star(v)
+            result = dfs(faces - st, acc + [(v, st)])
+            if result is not None:
+                return result
+            if k == 2:
+                break
+        failed.add(faces)
+        return None
+
+    return dfs(frozenset(c.faces_k), [])
+
+
+def forward_verify_peel(m, steps) -> None:
+    """Walk the (face, claimed star) steps down from the ground set: each
+    face simplicial in a freshly built residual complex, the claim its
+    star there, the star a cocircuit of the residual by rank, and the
+    ground set exhausted; CertificateError otherwise."""
+    c = m.complex
+    residual = frozenset(m.ground)
+    for step, (v, claimed) in enumerate(steps, start=1):
+        if v.bit_count() != c.k - 1:
+            raise CertificateError(f"step {step}: entry is not a (k-1)-element face")
+        comp = HypercliqueComplex(c.n, c.k, residual)
+        if not is_simplicial_face(comp, v):
+            raise CertificateError(
+                f"step {step}: {vertices(v)} is not simplicial in the residual complex")
+        st = comp.star(v)
+        if st != claimed:
+            raise CertificateError(f"step {step}: recorded cocircuit does not match the star")
+        if not m.is_cocircuit_within(residual, st):
+            raise CertificateError(f"step {step}: star is not a cocircuit of the residual")
+        residual = residual - st
+    if residual:
+        raise CertificateError("peel did not exhaust the k-faces")
 
 
 def _dense_solve(cols: Sequence[Sequence], target: Sequence, field):

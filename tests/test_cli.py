@@ -8,7 +8,7 @@ from simatroid import (GF2, GuardExceeded, SimplicialMatroid, build_complex, che
                       gen_random, parse_decomposition, parse_dperfect, parse_instance,
                       parse_superdense, verify_decomposition, verify_dperfect,
                       verify_full_duality, verify_superdense, write_instance, QQ)
-from simatroid.cli import main, run_command
+from simatroid.cli import _build_parser, main, run_command
 
 CHORD4_TEXT = "4 2\n1 2\n1 3\n1 4\n2 3\n3 4\n"
 CYCLE4_TEXT = "4 2\n1 2\n1 4\n2 3\n3 4\n"
@@ -230,3 +230,41 @@ def test_main_streams(tmp_path, monkeypatch):
     before = out.getvalue()
     assert main(["analyze", "--file", str(tmp_path / "missing.txt")]) == 1
     assert out.getvalue() == before and "error:" in err.getvalue()
+
+
+def test_back_to_back_calls_match_fresh_parser(tmp_path):
+    """The parser is built once per process: a run of calls through it
+    gives what each call gives from a freshly built parser, so nothing
+    one call parses (a field, an output path, a failed parse) leaks into
+    the next."""
+    path = write_tmp(tmp_path, CHORD4_TEXT)
+    report = tmp_path / "report.txt"
+    calls = [["perfect", "--file", path, "--out", str(report)],
+             ["analyze", "--file", path],
+             ["analyze", "--file", path, "--field", "7"],
+             ["superdense", "--file", path, "--field", "q"],
+             ["perfect", "--file", path],
+             ["perfect", "--file", path, "--strategy", "greedy"],
+             ["decompose", "--file", path],
+             ["--help"],
+             ["decompose", "--help"],
+             ["dual-check", "--n", "5", "--k", "2", "--field", "3"],
+             ["gen", "random", "--n", "5", "--k", "2", "--seed", "3"],
+             ["gen", "prop54"],
+             ["supersolvable", "--file", path]]
+
+    def observe(argv):
+        report.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code, text = run_command(argv)
+        written = report.read_text() if report.exists() else None
+        return code, text, out.getvalue(), err.getvalue(), written
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(observe(argv))
+    assert [c for c, *_ in fresh] == [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0]
+    _build_parser.cache_clear()
+    assert [observe(argv) for argv in calls + calls] == fresh + fresh

@@ -1,9 +1,12 @@
 import itertools
+import random
+from functools import cache
 
 import pytest
 
 from conftest import EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, seq_masks, stacked_faces
-from oracles import brute_facets, peel_step_checker, supersolvable_modular_chain
+from oracles import (brute_facets, forward_verify_peel, peel_step_checker,
+                     rescanning_peel_search, supersolvable_modular_chain)
 
 from simatroid import (CertificateError, DPerfectCertificate, GF, GF2, HypercliqueComplex, QQ,
                       SimplicialMatroid, SuperdenseCertificate, build_complex,
@@ -12,8 +15,10 @@ from simatroid import (CertificateError, DPerfectCertificate, GF, GF2, Hypercliq
                       instance_complex, is_simplicial_face, simplicial_faces, verify_dperfect,
                       verify_superdense, vertices)
 from simatroid.complexes import all_faces
+from simatroid.elimination import _peel_search, _ResidualIndex, _verify_peel
 
 CHORD4 = [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]  # 4-cycle with chord 13
+FIELDS = [GF2, GF(3), GF(5), QQ]
 
 
 def small_complexes(count, n, k, base_seed, density="1/2"):
@@ -80,14 +85,18 @@ def test_peel_of_chorded_and_bare_four_cycle():
     assert find_dperfect_sequence(c4, QQ) is None
 
 
+def every_k3_complex_on_five_vertices():
+    triples = all_faces(5, 3)
+    return [HypercliqueComplex(5, 3, [f for i, f in enumerate(triples) if bits >> i & 1])
+            for bits in range(1 << len(triples))]
+
+
 def test_every_k3_complex_on_five_vertices():
     """All 2^10 k = 3 complexes on 5 vertices: the peel search and the
     superdense chain agree with the exhaustive oracle and verify, the star
     of every simplicial face is a cocircuit, and no first step of a
     peelable complex leaves a residual without a complete peel."""
-    triples = all_faces(5, 3)
-    complexes = [HypercliqueComplex(5, 3, [f for i, f in enumerate(triples) if bits >> i & 1])
-                 for bits in range(1 << len(triples))]
+    complexes = every_k3_complex_on_five_vertices()
     peelable = {c: peel_oracle(c) for c in complexes}
     assert sum(peelable.values()) == 969
     for field in (GF2, GF(3)):
@@ -105,6 +114,71 @@ def test_every_k3_complex_on_five_vertices():
         if peelable[c]:
             for v in simplicial_faces(c):
                 assert peelable[HypercliqueComplex(5, 3, c.faces_k - c.star(v))]
+
+
+@cache
+def oracle_peels():
+    """(complex, the rescanning oracle's peel or None) for all k = 3
+    complexes on 5 vertices, seeded random (7, 3), (8, 3) and (7, 4)
+    complexes, and stacked complexes."""
+    stacked = [build_complex(n, k, stacked_faces(n, k, seed))
+               for n, k, seed in ((12, 3, 1), (20, 3, 2), (12, 4, 3), (16, 4, 4), (9, 2, 5))]
+    complexes = (every_k3_complex_on_five_vertices() + small_complexes(20, 7, 3, 7000, "11/20")
+                 + small_complexes(12, 8, 3, 7100, "2/5") + small_complexes(12, 7, 4, 7200, "3/5")
+                 + stacked)
+    return [(c, rescanning_peel_search(c)) for c in complexes]
+
+
+def test_search_matches_rescanning_oracle():
+    """The indexed search walks the same tree as the search that rescans
+    every (k-1)-set at every node: the same lex-first steps, or None."""
+    for c, steps in oracle_peels():
+        assert _peel_search(c) == steps
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_reverse_verifier_accepts_what_forward_oracle_accepts(field):
+    """Every peel the oracle finds is the certificate find_dperfect_sequence
+    returns, verified by the reverse pass, and the forward verifier that
+    rebuilds each residual accepts it too; the superdense chain is the
+    peel's residuals."""
+    for c, steps in oracle_peels():
+        if steps is None:
+            continue
+        m = SimplicialMatroid(c, field)
+        cert = find_dperfect_sequence(c, field)
+        assert list(zip(cert.sequence, cert.cocircuits)) == steps
+        forward_verify_peel(m, steps)
+        residuals = [frozenset(m.ground)]
+        for _, st in steps:
+            residuals.append(residuals[-1] - st)
+        assert check_superdense(m).chain == tuple(reversed(residuals))
+
+
+def test_residual_index_matches_a_fresh_complex():
+    """Random walks of peels and undos: after every move the index's
+    stars and simplicial sets are those of a complex built afresh from
+    its live faces, so rechecking only the subsets of the peeled facet,
+    and restoring them on undo, loses nothing."""
+    rng = random.Random(9)
+    complexes = (small_complexes(15, 7, 3, 7300, "3/5") + small_complexes(10, 7, 4, 7400, "3/5")
+                 + small_complexes(10, 6, 2, 7500, "3/5")
+                 + [build_complex(12, 3, stacked_faces(12, 3, 6)),
+                    build_complex(9, 3, EXAMPLE3_TRIPLES)])
+    for c in complexes:
+        index = _ResidualIndex(c)
+        peeled = []
+        for _ in range(30):
+            if index.simplicial and (not peeled or rng.random() < 0.6):
+                v = rng.choice(sorted(index.simplicial))
+                peeled.append(index.peel(v))
+            elif peeled:
+                index.undo()
+                peeled.pop()
+            comp = HypercliqueComplex(c.n, c.k, index.live)
+            assert index.live == c.faces_k.difference(*peeled)
+            assert index.candidates() == simplicial_faces(comp)
+            assert all(index.star[u] == comp.star(u) for u in index.star)
 
 
 def test_verify_dperfect_rejects_corruption():
@@ -128,6 +202,27 @@ def test_verify_dperfect_rejects_corruption():
              frozenset({face(3, 4)}))
     with pytest.raises(CertificateError, match="not simplicial"):
         verify_dperfect(c, GF2, DPerfectCertificate(seq, stars))
+
+
+def test_exhaustion_check_rejects_stars_that_miss_a_ground_face():
+    """A triangle 123 with a pendant edge 34: the stars {13}, {23}, {34}
+    leave out 12.  Read from the last step, each is the star of its face
+    among the faces restored so far, simplicial there and a cocircuit, and
+    the three raise the rank to the matroid's 3; only the final check that
+    the restored faces are the ground set rejects them."""
+    c = build_complex(4, 2, [(1, 2), (1, 3), (2, 3), (3, 4)])
+    steps = [(face(1), frozenset({face(1, 3)})), (face(2), frozenset({face(2, 3)})),
+             (face(3), frozenset({face(3, 4)}))]
+    cert = DPerfectCertificate(tuple(v for v, _ in steps), tuple(st for _, st in steps))
+    for field in FIELDS:
+        with pytest.raises(CertificateError, match="did not exhaust"):
+            verify_dperfect(c, field, cert)
+        with pytest.raises(CertificateError):
+            forward_verify_peel(SimplicialMatroid(c, field), steps)
+    # the same stars with 12 added to the first are the lex-first peel
+    steps[0] = (face(1), frozenset({face(1, 2), face(1, 3)}))
+    assert _peel_search(c) == steps
+    _verify_peel(SimplicialMatroid(c, GF2), steps)
 
 
 def test_basic_linear_sequence_on_worked_example():
@@ -265,11 +360,12 @@ def rejects(verify, *args):
     return False
 
 
-@pytest.mark.parametrize("field", [GF2, GF(3), QQ], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_certificate_edits_match_oracle(field):
     """Every single edit of a peel and of its superdense chain is rejected
-    by the verifier exactly when the oracle step checker rejects it.  Some
-    edits, such as swapping two independent steps, leave a valid peel."""
+    by the verifier exactly when the oracle step checker rejects it, and
+    exactly when the forward verifier does.  Some edits, such as swapping
+    two independent steps, leave a valid peel."""
     instances = [build_complex(4, 2, CHORD4), build_complex(9, 3, EXAMPLE3_TRIPLES),
                  build_complex(8, 3, stacked_faces(8, 3, 1))]
     total = rejected = 0
@@ -283,6 +379,7 @@ def test_certificate_edits_match_oracle(field):
             bad = DPerfectCertificate(tuple(v for v, _ in edit), tuple(st for _, st in edit))
             got = rejects(verify_dperfect, c, field, bad)
             assert got == (not peel_ok(edit)), edit
+            assert got == (len(edit) != m.rank or rejects(forward_verify_peel, m, edit)), edit
             total, rejected = total + 1, rejected + got
         for chain, witnesses in superdense_edits(m.ground, steps, ridges):
             got = rejects(verify_superdense, m, SuperdenseCertificate(chain, witnesses))

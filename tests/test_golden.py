@@ -40,6 +40,9 @@ def instance_text(n: int, k: int, field: str, faces) -> str:
 INSTANCES = {
     "stacked-10-3-q": instance_text(10, 3, "q", stacked_faces(10, 3, 1)),
     "stacked-12-4-5": instance_text(12, 4, "5", stacked_faces(12, 4, 2)),
+    # deep peels: 88 and 81 faces
+    "stacked-32-3-2": instance_text(32, 3, "2", stacked_faces(32, 3, 3)),
+    "stacked-24-4-3": instance_text(24, 4, "3", stacked_faces(24, 4, 4)),
     "projective-plane-2": instance_text(6, 3, "2", PROJECTIVE_TRIPLES),
     "projective-plane-q": instance_text(6, 3, "q", PROJECTIVE_TRIPLES),
     "prop54-7-3": instance_text(7, 3, "2", map(vertices, gen_prop54(7, 3).faces_k)),
