@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from operator import xor
+from typing import Iterable, Sequence
 
 from .chains import ChainVector, boundary, boundary_columns
 from .complexes import HypercliqueComplex, face_sort_key, full_complex, sorted_faces, vertices
@@ -144,87 +145,137 @@ class SimplicialMatroid:
         return not combine(self.field, [(a, self._cols[f]) for f, a in chain.items_lex()])
 
 
-def _minimal_supports(basis: Sequence[Sequence[Scalar]], supports: Iterable[int],
-                      field: Field) -> list[int]:
+def _minimal_supports(basis: Sequence[Sequence[Scalar]], pivots: Sequence[int],
+                      supports: Iterable[int], field: Field) -> list[int]:
     """The inclusion-minimal masks among supports of nonzero vectors in the span V of basis.
 
-    The vectors of V that vanish outside a support s form a subspace of
-    dimension dim V minus the rank of basis restricted to the coordinates
-    outside s.  s is minimal iff that subspace is a line, that is iff the
-    restricted basis has rank dim V - 1; that needs at least dim V - 1
-    coordinates outside s.
+    basis must be reduced at pivots: basis[i] is one at coordinate
+    pivots[i] and zero at every other pivot.  A nullspace basis from
+    column_relations (one vector per dependent column) and the rows of
+    echelon_rows both are.  A vector of V is then sum c_i basis[i] with
+    c_i its entry at pivots[i], so every nonzero vector meets the pivots.
+
+    Let s be a support and I the basis vectors whose pivot lies in s.
+    A vector of V vanishing outside s has c_i = 0 for i outside I, so
+    these vectors are the combinations of the I vectors that vanish on
+    the coordinates outside s, all of them non-pivot, since an I vector
+    is zero at the other pivots.  They form a space of dimension |I|
+    minus the rank of the I vectors restricted to those coordinates.  s
+    is minimal iff that space is a line, iff the restriction has rank
+    |I| - 1.  When |I| = 1 this holds at once: the one vector of V with
+    support s is a multiple of that basis vector, which thus vanishes
+    outside s.  Rank |I| - 1 needs |I| - 1 non-pivot coordinates outside
+    s, that is width - |s| >= dim V - 1, which is checked first.  The
+    vector with support s relates all |I| restricted vectors with nonzero
+    coefficients, so any |I| - 1 of them span the same space: the test
+    leaves out the first and asks whether the rest are independent.
     """
-    rows = [sparse_column(field, enumerate(b)) for b in basis]
+    rows = [(1 << c, sparse_column(field, enumerate(b))) for c, b in zip(pivots, basis)]
     width = len(basis[0]) if basis else 0
     out = []
     for s in supports:
         if width - s.bit_count() < len(rows) - 1:
             continue
-        if field.p == 2:
-            restricted = [row & ~s for row in rows]
-        else:
-            restricted = [{i: a for i, a in row.items() if not s >> i & 1} for row in rows]
-        inc = IncrementalRank(field)
-        inc.extend(restricted)
-        if inc.rank == len(rows) - 1:
-            out.append(s)
+        mine = [row for bit, row in rows if s & bit][1:]
+        if mine:
+            if field.p == 2:
+                restricted = [row & ~s for row in mine]
+            else:
+                restricted = [{i: a for i, a in row.items() if not s >> i & 1} for row in mine]
+            inc = IncrementalRank(field)
+            inc.extend(restricted)
+            if inc.rank < len(mine):
+                continue
+        out.append(s)
     return out
 
 
-def _slices(vec: Sequence[int], p: int) -> list[int]:
-    """A vector over GF(p) as p masks, mask a marking the coordinates equal to a."""
-    masks = [0] * p
-    for j, a in enumerate(vec):
-        masks[a] |= 1 << j
-    return masks
-
-
-def _coset_supports(offset: Sequence[int], basis: Sequence[Sequence[int]],
-                   p: int) -> Iterator[int]:
-    """The support mask of every vector of offset + span(basis) over GF(p).
-
-    Vectors are held as their p coordinate-class masks, so adding a basis
-    vector costs p times its number of distinct entries in mask
-    operations, whatever the width.
-    """
-    parts = [[(a, m) for a, m in enumerate(_slices(b, p)) if m] for b in basis]
-    full = (1 << len(offset)) - 1
-
-    def rec(i: int, vec: list[int]) -> Iterator[int]:
-        if i == len(parts):
-            yield full & ~vec[0]
-            return
-        yield from rec(i + 1, vec)
-        for _ in range(1, p):
-            shifted = [0] * p
-            for a, m in parts[i]:
-                for x in range(p):
-                    shifted[(x + a) % p] |= vec[x] & m
-            vec = shifted
-            yield from rec(i + 1, vec)
-
-    yield from rec(0, _slices(offset, p))
+def _gray_steps(digits: int, p: int) -> list[int]:
+    """The digit changed at each step of the modular p-ary Gray code
+    (Knuth, TAOCP 4A, 7.2.1.1): step t adds one, mod p, to digit j, where
+    p^j is the largest power of p dividing t.  The p^digits - 1 steps from
+    zero visit every tuple once, and the first p^i - 1 of them are the
+    code on i digits."""
+    steps: list[int] = []
+    for j in range(digits):
+        steps = (steps + [j]) * (p - 1) + steps
+    return steps
 
 
 def _span_supports(basis: Sequence[Sequence[Scalar]], field: Field, limit: int) -> set[int]:
     """The supports of the nonzero vectors of the span.  Scaling keeps a
     support, so only vectors whose first nonzero coefficient is one are
-    visited: basis[i] plus the span of the basis vectors after it."""
-    if field.p is None:
+    visited: basis[i] plus the span of the basis vectors after it, walked
+    in Gray-code order, so each step adds one basis vector.
+
+    Over GF(2) a vector is an int mask and a step is one xor.  Over GF(p)
+    a vector is held as its p coordinate-class masks packed in one int,
+    lane a (bits a * width up) marking the coordinates equal to a.  Adding
+    a basis vector rotates, within each of its own coordinate classes,
+    the lanes by that class's value, whatever the width.
+    """
+    p = field.p
+    if p is None:
         raise ValueError("span enumeration needs a finite field")
-    if field.p ** len(basis) > limit:
+    if p ** len(basis) > limit:
         raise GuardExceeded(
             f"span of dimension {len(basis)} over {field} exceeds the enumeration guard")
+    if not basis:
+        return set()
+    steps = _gray_steps(len(basis) - 1, p)
     out: set[int] = set()
-    for i, b in enumerate(basis):
-        out.update(_coset_supports(b, basis[i + 1:], field.p))
+    if p == 2:
+        masks = [sparse_column(field, enumerate(b)) for b in basis]
+        for i, b in enumerate(masks):
+            rest = masks[i + 1:]
+            walk = itertools.islice(steps, (1 << len(rest)) - 1)
+            out.update(itertools.accumulate(map(rest.__getitem__, walk), xor, initial=b))
+        return out
+    width = len(basis[0])
+    full = (1 << width) - 1
+    lanes = sum(1 << a * width for a in range(p))
+    starts, moves = [], []
+    for b in basis:
+        classes = [0] * p
+        for j, a in enumerate(b):
+            classes[a] |= 1 << j
+        starts.append(sum(m << a * width for a, m in enumerate(classes)))
+        moves.append([(a * width, (p - a) * width, m * lanes)
+                      for a, m in enumerate(classes) if m])
+    for i, vec in enumerate(starts):
+        out.add(vec & full ^ full)
+        rest = moves[i + 1:]
+        for j in itertools.islice(steps, p ** len(rest) - 1):
+            moved = 0
+            for left, right, mask in rest[j]:
+                moved |= (vec << left | vec >> right) & mask
+            vec = moved
+            out.add(vec & full ^ full)
     return out
 
 
-def _minimal_support_sets(m: SimplicialMatroid, basis: list, limit: int) -> set[frozenset[int]]:
-    supports = _span_supports(basis, m.field, limit)
-    return {frozenset(m.ground[i] for i in _bit_indices(s))
-            for s in _minimal_supports(basis, supports, m.field)}
+def _circuit_masks(relations: dict, width: int, field: Field, limit: int) -> list[int]:
+    """Circuits as masks over column indices: the minimal supports of the
+    nullspace, whose basis from column_relations is reduced at the
+    dependent columns."""
+    basis = [dense_column(field, rel, width) for rel in relations.values()]
+    return _minimal_supports(basis, list(relations), _span_supports(basis, field, limit), field)
+
+
+def _cocircuit_masks(pivots: list[int], relations: dict, width: int, field: Field,
+                     limit: int) -> list[int]:
+    """Cocircuits as masks over column indices: the minimal supports of the
+    row space, whose echelon rows are reduced at the pivot columns."""
+    basis = echelon_rows(pivots, relations, width, field)
+    return _minimal_supports(basis, pivots, _span_supports(basis, field, limit), field)
+
+
+def _relations(m: SimplicialMatroid) -> tuple[list[int], dict]:
+    return column_relations([m._cols[f] for f in m.ground], m.field)
+
+
+def _face_sets(m: SimplicialMatroid, masks: Iterable[int]) -> set[frozenset[int]]:
+    return {frozenset(m.ground[i] for i in _bit_indices(s)) for s in masks}
 
 
 def matroid_circuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:
@@ -235,18 +286,14 @@ def matroid_circuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_
     subset brute force.
     """
     if m.field.is_finite:
-        _, relations = column_relations([m._cols[f] for f in m.ground], m.field)
-        basis = [dense_column(m.field, rel, len(m.ground)) for rel in relations.values()]
-        return _minimal_support_sets(m, basis, limit)
+        return _face_sets(m, _circuit_masks(_relations(m)[1], len(m.ground), m.field, limit))
     return set(m.circuits_brute())
 
 
 def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:
     """The full cocircuit family: minimal supports of the row space."""
     if m.field.is_finite:
-        pivots, relations = column_relations([m._cols[f] for f in m.ground], m.field)
-        basis = echelon_rows(pivots, relations, len(m.ground), m.field)
-        return _minimal_support_sets(m, basis, limit)
+        return _face_sets(m, _cocircuit_masks(*_relations(m), len(m.ground), m.field, limit))
     if 2 ** len(m.ground) > limit:
         raise GuardExceeded("cocircuit enumeration over the rationals exceeds the guard")
     out = set()
@@ -260,7 +307,10 @@ def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPA
 def verify_full_duality(n: int, k: int, field: Field) -> bool:
     """Complementation maps the circuits of the full (n-k)-matroid onto the
     cocircuits of the full k-matroid on [n].  Both families are computed
-    exhaustively and compared as sets.
+    exhaustively and compared as sets of masks over the k-matroid's ground
+    indices; the nullspace of the (n-k)-matroid is enumerated with each
+    face moved to the index of its complement.  When n = 2k one matroid
+    and one elimination serve both families.
 
     The work is sized in closed form before either matroid is built, and
     the check refuses above DEFAULT_DUALITY_SPAN.  Over GF(p) both spans
@@ -281,7 +331,19 @@ def verify_full_duality(n: int, k: int, field: Field) -> bool:
         raise GuardExceeded(f"duality check needs {what.format(size)}, "
                             f"above the limit of {limit}")
     m_k = SimplicialMatroid(full_complex(n, k), field)
-    m_nk = SimplicialMatroid(full_complex(n, n - k), field)
+    m_nk = m_k if n == 2 * k else SimplicialMatroid(full_complex(n, n - k), field)
     full_mask = (1 << n) - 1
-    mapped = {frozenset(full_mask ^ x for x in c) for c in matroid_circuits_exhaustive(m_nk, limit)}
-    return mapped == matroid_cocircuits_exhaustive(m_k, limit)
+    pos = {f: i for i, f in enumerate(m_k.ground)}
+    if field.is_finite:
+        pivots, relations = _relations(m_k)
+        cocircuits = _cocircuit_masks(pivots, relations, len(m_k.ground), field, limit)
+        if m_nk is not m_k:
+            relations = _relations(m_nk)[1]
+        perm = [pos[full_mask ^ f] for f in m_nk.ground]
+        moved = {perm[j]: {perm[i]: a for i, a in rel.items()} for j, rel in relations.items()}
+        circuits = _circuit_masks(moved, len(perm), field, limit)
+    else:
+        circuits = [sum(1 << pos[full_mask ^ f] for f in c)
+                    for c in matroid_circuits_exhaustive(m_nk, limit)]
+        cocircuits = [sum(1 << pos[f] for f in c) for c in matroid_cocircuits_exhaustive(m_k, limit)]
+    return set(circuits) == set(cocircuits)

@@ -22,7 +22,7 @@ from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_ke
 from .elimination import DPerfectCertificate, _verify_dperfect, simplicial_faces
 from .errors import CertificateError
 from .fields import GF2, Scalar
-from .linalg import IncrementalRank, column_relations, dense_column, solve_columns, sparse_column
+from .linalg import IncrementalRank, column_relations, dense_column, sparse_column
 from .matroid import SimplicialMatroid, matroid_circuits_exhaustive
 
 
@@ -162,23 +162,31 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     lies inside W, so together they cover at most W; and each face f of
     the support has z_f != 0, which some kept apex containing f must
     supply, so they cover all of W.  The cover condition thus holds for
-    every solution, and one solve_columns call decides each circuit.
+    every solution, and one span test decides each circuit.
 
     Only the circuit enumeration is exponential; it raises GuardExceeded
     past its limit, so False always means a genuine counterexample.
+    Circuits on the same vertices share one kernel over the boundaries
+    inside W.  Over GF(2) a circuit's vector is all ones on its support.
     """
     if not is_triangulable(m):
         return False
     skeleton, skeleton_cols = _apex_columns(m)
     pos = {f: i for i, f in enumerate(m.ground)}
+    kernels: dict[int, IncrementalRank] = {}
     for circuit in matroid_circuits_exhaustive(m):
         want = 0
         for f in circuit:
             want |= f
-        cols = [col for x, col in zip(skeleton, skeleton_cols) if x & want == x]
-        z = circuit_vector(m, circuit)
-        z = sparse_column(m.field, [(pos[f], a) for f, a in z.items_lex()])
-        if solve_columns(cols, z, m.field) is None:
+        inc = kernels.get(want)
+        if inc is None:
+            inc = kernels[want] = IncrementalRank(m.field)
+            inc.extend([col for x, col in zip(skeleton, skeleton_cols) if x & want == x])
+        if m.field.p == 2:
+            z = sum(1 << pos[f] for f in circuit)
+        else:
+            z = sparse_column(m.field, [(pos[f], a) for f, a in circuit_vector(m, circuit).items_lex()])
+        if inc.reduce(z):
             return False
     return True
 

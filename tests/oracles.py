@@ -2,14 +2,14 @@
 
 These are the straightforward versions the program once ran: Gauss-Jordan
 elimination over dense rows, and minimal supports found by comparing
-every support with every minimal one found before it; facets found by
-testing every vertex subset; supersolvability decided by searching the
-lattice of flats for a maximal chain of modular flats; peel steps
-checked by those facets and by dense ranks; the peel search that
-rescans every (k-1)-set at every step and the peel verifier that walks
-the steps forward, rebuilding the residual complex each time; and
-circuit decompositions found by enumerating solution cosets or apex
-subsets.  They are slow but plain,
+every support with every minimal one found before it; span supports
+walked by recursion over the basis; facets found by testing every vertex
+subset; supersolvability decided by searching the lattice of flats for a
+maximal chain of modular flats; peel steps checked by those facets and
+by dense ranks; the peel search that rescans every (k-1)-set at every
+step and the peel verifier that walks the steps forward, rebuilding the
+residual complex each time; and circuit decompositions found by
+enumerating solution cosets or apex subsets.  They are slow but plain,
 so the sparse kernel and its callers are checked against them.  The
 incidence sign of a face in the boundary of a larger one is here too, as
 the sign rule the boundary columns are checked against.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from simatroid import CertificateError, HypercliqueComplex, is_simplicial_face, simplicial_faces
 from simatroid.complexes import vertices
@@ -87,6 +87,44 @@ def minimal_supports(masks: Iterable[int]) -> list[int]:
         if not any(acc & m == acc for acc in minimal):
             minimal.append(m)
     return minimal
+
+
+def coset_supports(offset: Sequence[int], basis: Sequence[Sequence[int]], p: int) -> Iterator[int]:
+    """The support mask of every vector of offset + span(basis) over GF(p),
+    by recursion on the basis: each vector held as its p coordinate-class
+    masks, the coefficient of basis[i] fixed at depth i."""
+    def slices(vec):
+        masks = [0] * p
+        for j, a in enumerate(vec):
+            masks[a] |= 1 << j
+        return masks
+
+    parts = [[(a, m) for a, m in enumerate(slices(b)) if m] for b in basis]
+    full = (1 << len(offset)) - 1
+
+    def rec(i: int, vec: list[int]) -> Iterator[int]:
+        if i == len(parts):
+            yield full & ~vec[0]
+            return
+        yield from rec(i + 1, vec)
+        for _ in range(1, p):
+            shifted = [0] * p
+            for a, m in parts[i]:
+                for x in range(p):
+                    shifted[(x + a) % p] |= vec[x] & m
+            vec = shifted
+            yield from rec(i + 1, vec)
+
+    yield from rec(0, slices(offset))
+
+
+def span_supports(basis: Sequence[Sequence[int]], p: int) -> set[int]:
+    """The supports of the nonzero vectors of span(basis) over GF(p), one
+    coset of the later basis vectors per leading basis vector."""
+    out: set[int] = set()
+    for i, b in enumerate(basis):
+        out.update(coset_supports(b, basis[i + 1:], p))
+    return out
 
 
 def brute_facets(c) -> set[int]:

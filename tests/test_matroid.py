@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from oracles import boundary_rank, closure, minimal_supports
+from oracles import boundary_rank, closure, minimal_supports, span_supports
 
 from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, build_complex, face,
                       full_complex, gen_random, instance_complex, matroid_circuits_exhaustive,
@@ -144,21 +144,59 @@ def test_duality_validation():
     assert verify_full_duality(4, 2, QQ)
 
 
-def test_minimal_supports_match_pairwise_oracle():
-    """Every (n, k, field) of the complement-duality acceptance check."""
+def duality_bases(field, max_span):
+    """(basis, pivots) of the row space and of the nullspace of every full
+    matroid of the complement-duality acceptance check (4 <= n <= 6), each
+    reduced at its pivots, where p^dim <= max_span."""
     for n in range(4, 7):
         for k in range(2, n - 1):
-            for field in (GF2, GF(3)):
-                for kk in (k, n - k):
-                    m = SimplicialMatroid(full_complex(n, kk), field)
-                    width = len(m.ground)
-                    pivots, relations = column_relations([m._cols[f] for f in m.ground], field)
-                    bases = (echelon_rows(pivots, relations, width, field),
-                             [dense_column(field, rel, width) for rel in relations.values()])
-                    for basis in bases:
-                        supports = _span_supports(basis, field, 1 << 22)
-                        assert (sorted(_minimal_supports(basis, supports, field))
-                                == sorted(minimal_supports(supports)))
+            m = SimplicialMatroid(full_complex(n, k), field)
+            width = len(m.ground)
+            pivots, relations = column_relations([m._cols[f] for f in m.ground], field)
+            nullspace = [dense_column(field, rel, width) for rel in relations.values()]
+            for basis, at in ((echelon_rows(pivots, relations, width, field), pivots),
+                              (nullspace, list(relations))):
+                if field.p ** len(basis) <= max_span:
+                    yield basis, at
+
+
+def random_basis(rng, p, dim, width, reduced):
+    """dim random vectors over GF(p), about half their entries nonzero; if
+    reduced, each is one at its own pivot and zero at the others, the
+    pivots drawn in random order."""
+    pivots = rng.sample(range(width), dim)
+    basis = []
+    for c in pivots:
+        row = [rng.randrange(1, p) if rng.random() < 0.5 else 0 for _ in range(width)]
+        if reduced:
+            for j in pivots:
+                row[j] = int(j == c)
+        basis.append(tuple(row))
+    return basis, pivots
+
+
+def test_minimal_supports_match_pairwise_oracle():
+    """Every full matroid of the complement-duality acceptance check."""
+    for field, max_span in ((GF2, 1 << 10), (GF(3), 3 ** 10), (GF(5), 5 ** 6)):
+        for basis, pivots in duality_bases(field, max_span):
+            supports = _span_supports(basis, field, 1 << 22)
+            assert supports == span_supports(basis, field.p)
+            assert (sorted(_minimal_supports(basis, pivots, supports, field))
+                    == sorted(minimal_supports(supports)))
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), GF(5)], ids=str)
+def test_gray_walk_matches_recursive_oracle(field):
+    rng = random.Random(f"gray walk {field}")
+    for trial in range(60):
+        dim = rng.randrange(7 if field.p == 2 else 5)
+        width = max(dim, 1) + rng.randrange(8)
+        basis, pivots = random_basis(rng, field.p, dim, width, reduced=trial % 3 > 0)
+        supports = _span_supports(basis, field, 1 << 22)
+        assert supports == span_supports(basis, field.p)
+        if trial % 3 > 0:
+            assert (sorted(_minimal_supports(basis, pivots, supports, field))
+                    == sorted(minimal_supports(supports)))
 
 
 def test_duality_guard_sizes_both_spans_first():
