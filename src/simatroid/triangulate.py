@@ -4,9 +4,8 @@ The boundary of any (k+1)-face of the complex is a dependency among the
 k-faces (a "small" circuit).  A matroid here is triangulable when those
 boundaries span the whole circuit space, and strongly triangulable when
 every circuit can be written as a combination of small circuits whose
-apexes cover exactly the circuit's own vertices W; that is span
-membership in the boundaries of the (k+1)-faces inside W, one exact solve
-per circuit.  A complete simplicial peel gives an explicit decomposition:
+apexes cover exactly the circuit's own vertices W; both are decided by
+rank.  A complete simplicial peel gives an explicit decomposition:
 strong_decompose eliminates the circuit's support one peel stage at a
 time and emits a verified certificate.
 """
@@ -18,31 +17,44 @@ from itertools import combinations
 
 from .chains import ChainVector, boundary, boundary_columns
 from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_key, sorted_faces,
-                        vertices)
-from .elimination import DPerfectCertificate, _verify_dperfect, simplicial_faces
-from .errors import CertificateError
+                        submasks_of_size, vertices)
+from .elimination import (DPerfectCertificate, _peel_search, _verify_dperfect, _verify_peel,
+                          simplicial_faces)
+from .errors import CertificateError, GuardExceeded
 from .fields import GF2, Scalar
-from .linalg import IncrementalRank, column_relations, dense_column, sparse_column
-from .matroid import SimplicialMatroid, matroid_circuits_exhaustive
+from .linalg import IncrementalRank, column_relations, dense_column
+from .matroid import SimplicialMatroid
+
+STRONG_SCAN_LIMIT = 1 << 16
 
 
 def is_triangulable(m: SimplicialMatroid) -> bool:
     """Do the boundaries of the (k+1)-faces span the circuit space?"""
-    nullity = len(m.ground) - m.rank
-    _, cols = _apex_columns(m)
-    inc = IncrementalRank(m.field)
-    for col in cols:
+    return _triangulable_on(m.field, *_columns(m), (1 << m.complex.n) - 1)
+
+
+def _columns(m: SimplicialMatroid) -> tuple[list, list]:
+    """(face, boundary column) pairs of the k-faces, and of the (k+1)-faces
+    in lex order with their boundaries as columns over the ground set."""
+    apexes = sorted_faces(m.complex.skeleton(m.complex.k + 1))
+    apex_cols = boundary_columns(m.complex, m.field, apexes, m.ground)[1]
+    return list(m._cols.items()), list(zip(apexes, apex_cols))
+
+
+def _triangulable_on(field, faces: list, apexes: list, w: int) -> bool:
+    """Is the subcomplex induced on the vertex set w triangulable: do the
+    boundaries of the apexes inside w reach the nullity of its faces?"""
+    inside = [col for f, col in faces if f & w == f]
+    inc = IncrementalRank(field)
+    inc.extend(inside)
+    nullity = len(inside) - inc.rank
+    inc = IncrementalRank(field)
+    for apex, col in apexes:
         if inc.rank == nullity:
             break
-        inc.add(col)
+        if apex & w == apex:
+            inc.add(col)
     return inc.rank == nullity
-
-
-def _apex_columns(m: SimplicialMatroid) -> tuple[list[int], list]:
-    """The (k+1)-faces in lex order, and their boundaries as sparse
-    columns over the ground set."""
-    apexes = sorted_faces(m.complex.skeleton(m.complex.k + 1))
-    return apexes, boundary_columns(m.complex, m.field, apexes, m.ground)[1]
 
 
 def circuit_vector(m: SimplicialMatroid, circuit) -> ChainVector:
@@ -153,42 +165,40 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
 
 
 def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
-    """Decide strong triangulability with one span test per circuit.
+    """Decide strong triangulability by rank alone, over any field.
 
-    Lemma.  Let z be a circuit vector and W the union of its faces.  Then
-    z decomposes inside W iff z lies in the span of the boundaries of the
-    (k+1)-faces a with a inside W.  Necessity is plain.  For sufficiency
-    take any solution and keep its apexes with nonzero coefficients: each
-    lies inside W, so together they cover at most W; and each face f of
-    the support has z_f != 0, which some kept apex containing f must
-    supply, so they cover all of W.  The cover condition thus holds for
-    every solution, and one span test decides each circuit.
+    Lemma.  A circuit z on the vertex set W decomposes inside W iff z lies
+    in the span of the boundaries of the (k+1)-faces inside W: the apexes
+    of any solution with nonzero coefficients cover at most W, and each
+    face f of z, having z_f != 0, lies in one of them, so they cover W.
 
-    Only the circuit enumeration is exponential; it raises GuardExceeded
-    past its limit, so False always means a genuine counterexample.
-    Circuits on the same vertices share one kernel over the boundaries
-    inside W.  Over GF(2) a circuit's vector is all ones on its support.
+    So the complex is strongly triangulable iff every subcomplex D[W]
+    induced on a vertex set is triangulable (its circuits span its
+    dependencies).  A verified complete simplicial peel gives True;
+    strong_decompose decomposes each circuit along it.  For k = 2 no peel
+    gives False: by Dirac the graph is not chordal, and a chordless cycle
+    is a circuit with no triangle inside its vertex set.  Otherwise the
+    vertex sets of the faces' vertices are scanned, smallest first; the
+    scan is sized first and raises GuardExceeded above STRONG_SCAN_LIMIT.
     """
-    if not is_triangulable(m):
+    faces, apexes = _columns(m)
+    span = 0
+    for f in m.ground:
+        span |= f
+    if not _triangulable_on(m.field, faces, apexes, span):
         return False
-    skeleton, skeleton_cols = _apex_columns(m)
-    pos = {f: i for i, f in enumerate(m.ground)}
-    kernels: dict[int, IncrementalRank] = {}
-    for circuit in matroid_circuits_exhaustive(m):
-        want = 0
-        for f in circuit:
-            want |= f
-        inc = kernels.get(want)
-        if inc is None:
-            inc = kernels[want] = IncrementalRank(m.field)
-            inc.extend([col for x, col in zip(skeleton, skeleton_cols) if x & want == x])
-        if m.field.p == 2:
-            z = sum(1 << pos[f] for f in circuit)
-        else:
-            z = sparse_column(m.field, [(pos[f], a) for f, a in circuit_vector(m, circuit).items_lex()])
-        if inc.reduce(z):
-            return False
-    return True
+    steps = _peel_search(m.complex)
+    if steps is not None:
+        _verify_peel(m, steps)
+        return True
+    if m.complex.k == 2:
+        return False
+    n = span.bit_count()
+    if 1 << n > STRONG_SCAN_LIMIT:
+        raise GuardExceeded(f"strong triangulability check needs a scan of 2^{n} = {1 << n} "
+                            f"vertex sets, above the limit of {STRONG_SCAN_LIMIT}")
+    return all(_triangulable_on(m.field, faces, apexes, w)
+               for size in range(m.complex.k + 1, n) for w in submasks_of_size(span, size))
 
 
 def gen_projective_plane() -> HypercliqueComplex:

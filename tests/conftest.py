@@ -1,12 +1,14 @@
 """Shared fixtures: the worked 9-vertex example, the rank-discrepancy
-six-point configuration, and the seeded random corpora."""
+six-point configuration, the seeded random corpora, every k = 3 complex
+on five vertices, and the peel-less strongly triangulable complexes."""
 
 from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import combinations
 
-from simatroid import face, gen_random, instance_complex
+from simatroid import HypercliqueComplex, all_faces, face, gen_random, instance_complex
 
 EXAMPLE3_TRIPLES = [
     (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 4, 5), (2, 4, 5),
@@ -57,6 +59,11 @@ def k3_corpus():
     return out
 
 
+def instance_text(n: int, k: int, field: str, faces) -> str:
+    body = "\n".join(" ".join(map(str, f)) for f in sorted(faces))
+    return f"{n} {k}\nfield {field}\n{body}\n"
+
+
 def full_corpus():
     return graph_corpus() + k3_corpus()
 
@@ -78,3 +85,19 @@ def stacked_faces(n: int, k: int, seed: int) -> list[tuple[int, ...]]:
         base = rng.choice(faces)
         faces.extend(tuple(sorted(set(base) - {x} | {v})) for x in base)
     return faces
+
+
+@cache
+def every_k3_complex_on_five_vertices():
+    triples = all_faces(5, 3)
+    return [HypercliqueComplex(5, 3, [f for i, f in enumerate(triples) if bits >> i & 1])
+            for bits in range(1 << len(triples))]
+
+
+def full_minus_pair(triangle=(1, 2, 3), copies: int = 1) -> list[tuple[int, ...]]:
+    """The full (6, 3) complex minus a triangle and its complement, on
+    copies disjoint blocks of six vertices.  It has no simplicial face,
+    hence no peel, and is still strongly triangulable over every field."""
+    rest = tuple(v for v in range(1, 7) if v not in triangle)
+    return [tuple(6 * i + v for v in t) for i in range(copies)
+            for t in combinations(range(1, 7), 3) if t not in (tuple(triangle), rest)]

@@ -8,8 +8,9 @@ subset; supersolvability decided by searching the lattice of flats for a
 maximal chain of modular flats; peel steps checked by those facets and
 by dense ranks; the peel search that rescans every (k-1)-set at every
 step and the peel verifier that walks the steps forward, rebuilding the
-residual complex each time; and circuit decompositions found by
-enumerating solution cosets or apex subsets.  They are slow but plain,
+residual complex each time; circuit decompositions found by
+enumerating solution cosets or apex subsets; and strong triangulability
+decided by one span test per enumerated circuit.  They are slow but plain,
 so the sparse kernel and its callers are checked against them.  The
 incidence sign of a face in the boundary of a larger one is here too, as
 the sign rule the boundary columns are checked against.
@@ -22,8 +23,11 @@ from itertools import combinations, product
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
-from simatroid import CertificateError, HypercliqueComplex, is_simplicial_face, simplicial_faces
+from simatroid import (CertificateError, HypercliqueComplex, circuit_vector, is_simplicial_face,
+                       matroid_circuits_exhaustive, simplicial_faces, sorted_faces)
+from simatroid.chains import boundary_columns
 from simatroid.complexes import vertices
+from simatroid.linalg import IncrementalRank, sparse_column
 
 
 def dense_rref(rows: Sequence[Sequence], field) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
@@ -391,3 +395,29 @@ def decomposable_inside(c, field, circuit, span_limit: int, subset_limit: int) -
                for j in range(len(chosen))):
             return True
     return False
+
+
+def strongly_triangulable_by_circuits(m, limit: int) -> bool:
+    """Does every circuit lie in the span of the boundaries of the
+    (k+1)-faces inside its own vertex set W?  One span test per circuit,
+    with one kernel per W; the circuits are enumerated exhaustively, so
+    this raises GuardExceeded past limit span vectors over GF(p), or past
+    22 faces over the rationals.  No triangulability test is needed first:
+    the circuits span the dependencies."""
+    c = m.complex
+    apexes = sorted_faces(c.skeleton(c.k + 1))
+    apex_cols = boundary_columns(c, m.field, apexes, m.ground)[1]
+    pos = {f: i for i, f in enumerate(m.ground)}
+    kernels: dict[int, IncrementalRank] = {}
+    for circuit in matroid_circuits_exhaustive(m, limit):
+        want = 0
+        for f in circuit:
+            want |= f
+        inc = kernels.get(want)
+        if inc is None:
+            inc = kernels[want] = IncrementalRank(m.field)
+            inc.extend([col for x, col in zip(apexes, apex_cols) if x & want == x])
+        z = circuit_vector(m, circuit)
+        if inc.reduce(sparse_column(m.field, [(pos[f], a) for f, a in z.items_lex()])):
+            return False
+    return True

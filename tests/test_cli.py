@@ -3,6 +3,7 @@ import io
 import time
 
 import pytest
+from conftest import full_minus_pair, instance_text
 
 from simatroid import (GF2, GuardExceeded, SimplicialMatroid, build_complex, check_chordal_graph,
                       gen_random, parse_decomposition, parse_dperfect, parse_instance,
@@ -127,10 +128,24 @@ def test_triangulate_guard(tmp_path):
     assert run_command(["triangulate", "--file", path, "--max-brute", "1"])[0] == 1
     code, text = run_command(["triangulate", "--file", path])
     assert code == 0 and "strongly-triangulable true" in text
-    # the full (12, 3) complex trips the circuit-enumeration guard
+    # the full (12, 3) complex has a peel, which decides before any guard
     path = write_tmp(tmp_path, write_instance(gen_random(12, 3, 1, 0)), "full-12-3.txt")
     code, text = run_command(["triangulate", "--file", path])
-    assert code == 2 and "strongly-triangulable inconclusive" in text
+    assert code == 0 and text.splitlines()[-1] == "strongly-triangulable true"
+    # no peel: two copies of full (6, 3) minus 123 and 456 are scanned in full,
+    # three copies (18 vertices) are refused before the scan starts
+    for copies, field in ((2, "2"), (2, "q"), (3, "2")):
+        text = instance_text(6 * copies, 3, field, full_minus_pair(copies=copies))
+        t0 = time.perf_counter()
+        code, report = run_command(["triangulate", "--file", write_tmp(tmp_path, text)])
+        if copies == 2:
+            assert code == 0 and report.splitlines()[-1] == "strongly-triangulable true"
+        else:
+            assert time.perf_counter() - t0 < 0.2
+            assert code == 2 and report.splitlines()[-2:] == [
+                "strongly-triangulable inconclusive",
+                "note strong triangulability check needs a scan of 2^18 = 262144 vertex sets, "
+                "above the limit of 65536"]
 
 
 def test_prop54_pipeline(tmp_path):

@@ -4,7 +4,8 @@ from functools import cache
 
 import pytest
 
-from conftest import EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, seq_masks, stacked_faces
+from conftest import (EXAMPLE3_SEQUENCE, EXAMPLE3_TRIPLES, every_k3_complex_on_five_vertices,
+                      seq_masks, stacked_faces)
 from oracles import (brute_facets, forward_verify_peel, peel_step_checker,
                      rescanning_peel_search, supersolvable_modular_chain)
 
@@ -83,12 +84,6 @@ def test_peel_of_chorded_and_bare_four_cycle():
     c4 = build_complex(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)])
     assert find_dperfect_sequence(c4, GF2) is None
     assert find_dperfect_sequence(c4, QQ) is None
-
-
-def every_k3_complex_on_five_vertices():
-    triples = all_faces(5, 3)
-    return [HypercliqueComplex(5, 3, [f for i, f in enumerate(triples) if bits >> i & 1])
-            for bits in range(1 << len(triples))]
 
 
 def test_every_k3_complex_on_five_vertices():

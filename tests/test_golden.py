@@ -18,7 +18,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import EXAMPLE3_TRIPLES, PROJECTIVE_TRIPLES, stacked_faces
+from conftest import (EXAMPLE3_TRIPLES, PROJECTIVE_TRIPLES, full_minus_pair, instance_text,
+                      stacked_faces)
 
 from simatroid import gen_prop54, vertices
 from simatroid.cli import run_command
@@ -30,11 +31,6 @@ COMMANDS = ("analyze", "perfect", "superdense", "supersolvable", "triangulate", 
 # chordal: a 4-cycle 1-2-3-4 with chord 1-3, a pendant triangle on 3-5 and a fan
 CHORDAL_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (3, 5), (4, 5), (5, 6),
                  (5, 7), (6, 7), (7, 8)]
-
-
-def instance_text(n: int, k: int, field: str, faces) -> str:
-    body = "\n".join(" ".join(map(str, f)) for f in sorted(faces))
-    return f"{n} {k}\nfield {field}\n{body}\n"
 
 
 INSTANCES = {
@@ -49,10 +45,10 @@ INSTANCES = {
     "worked-example-9": instance_text(9, 3, "2", EXAMPLE3_TRIPLES),
     "worked-example-9-q": instance_text(9, 3, "q", EXAMPLE3_TRIPLES),
     "chordal-graph-8": instance_text(8, 2, "2", CHORDAL_EDGES),
+    # no peel, yet strongly triangulable: decided by the scan of vertex sets
+    "full-6-3-minus-pair-2": instance_text(6, 3, "2", full_minus_pair()),
+    "full-6-3-minus-pair-q": instance_text(6, 3, "q", full_minus_pair()),
 }
-
-# the rational circuit enumeration behind the strong check runs for minutes here
-SKIPPED = {("stacked-10-3-q", "triangulate")}
 
 DUAL_CHECKS = {"dual-check-6-3-3": ["dual-check", "--n", "6", "--k", "3", "--field", "3"]}
 
@@ -86,7 +82,7 @@ def render(name: str) -> str:
     else:
         text = INSTANCES[name]
         runs = [([cmd] + (["--circuit", decompose_circuit(text)] if cmd == "decompose" else []),
-                 text) for cmd in COMMANDS if (name, cmd) not in SKIPPED]
+                 text) for cmd in COMMANDS]
     chunks = []
     for argv, text in runs:
         code, report = run_with_stdin(argv, text)

@@ -1,7 +1,11 @@
+import time
+from itertools import combinations
+
 import pytest
 
-from conftest import EXAMPLE3_TRIPLES, PROJECTIVE_TRIPLES, graph_corpus, k3_corpus, stacked_faces
-from oracles import decomposable_inside
+from conftest import (EXAMPLE3_TRIPLES, PROJECTIVE_TRIPLES, every_k3_complex_on_five_vertices,
+                      full_minus_pair, graph_corpus, k3_corpus, stacked_faces)
+from oracles import decomposable_inside, strongly_triangulable_by_circuits
 
 from simatroid import (CertificateError, ChainVector, DPerfectCertificate, GF, GF2,
                       GuardExceeded, QQ,
@@ -9,10 +13,12 @@ from simatroid import (CertificateError, ChainVector, DPerfectCertificate, GF, G
                       check_chordal_graph, circuit_vector, face, find_dperfect_sequence,
                       full_complex, gen_projective_plane, gen_prop54, instance_complex,
                       is_strongly_triangulable_brute, is_triangulable,
-                      matroid_circuits_exhaustive, sorted_faces, strong_decompose,
-                      verify_decomposition, vertices)
+                      matroid_circuits_exhaustive, simplicial_faces, sorted_faces,
+                      strong_decompose, verify_decomposition, vertices)
 from simatroid.linalg import solve_columns, sparse_column
-from simatroid.triangulate import _apex_columns
+from simatroid.triangulate import _columns
+
+FIELDS = [GF2, GF(3), GF(5), QQ]
 
 CHORD4 = [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
 
@@ -135,13 +141,61 @@ def test_strongly_triangulable_small_cases():
 def test_strongly_triangulable_guards():
     for field in (GF2, QQ):
         assert is_strongly_triangulable_brute(SimplicialMatroid(full_complex(5, 2), field))
-    # the circuit enumeration is the one guard left
-    with pytest.raises(GuardExceeded):
-        is_strongly_triangulable_brute(SimplicialMatroid(full_complex(12, 3), GF2))
+    # a peel decides before any scan or guard
+    t0 = time.perf_counter()
+    assert is_strongly_triangulable_brute(SimplicialMatroid(full_complex(12, 3), GF2))
+    assert is_strongly_triangulable_brute(
+        SimplicialMatroid(build_complex(10, 3, stacked_faces(10, 3, 1)), QQ))
+    assert time.perf_counter() - t0 < 1.0
+    # no peel: the scan over vertex sets is the one guard, sized before it starts
+    m = SimplicialMatroid(build_complex(18, 3, full_minus_pair(copies=3)), GF2)
+    with pytest.raises(GuardExceeded, match=r"scan of 2\^18 = 262144 vertex sets, "
+                                            r"above the limit of 65536$"):
+        is_strongly_triangulable_brute(m)
+    for field in (GF2, QQ):
+        c = build_complex(12, 3, full_minus_pair(copies=2))
+        assert simplicial_faces(c) == []
+        assert is_strongly_triangulable_brute(SimplicialMatroid(c, field))
     # 18 edges, 21 triangles inside one circuit's vertices: 2^21 apex subsets
     inst = graph_corpus()[48]
     m = SimplicialMatroid(instance_complex(inst), QQ)
     assert is_strongly_triangulable_brute(m) == check_chordal_graph(inst.faces, inst.n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_strong_check_matches_circuit_oracle(field):
+    """The rank-only check equals the circuit-enumerating oracle wherever
+    the oracle decides, on every k = 3 complex on five vertices, the ten
+    peel-less exceptions, the Prop. 5.4 family and the seeded corpora; on
+    graphs it is chordality."""
+    graphs = [instance_complex(inst) for inst in graph_corpus()[:100]]
+    for c in graphs:
+        assert is_strongly_triangulable_brute(SimplicialMatroid(c, field)) == \
+            check_chordal_graph(c.faces_k, c.n)
+    small = [c for c in graphs[:40] + [instance_complex(inst) for inst in k3_corpus()[:24]]
+             if len(c.faces_k) <= 12]
+    props = [gen_prop54(n, k) for n, k in ((5, 2), (6, 2), (6, 3), (7, 3), (7, 4))]
+    exceptions = [build_complex(6, 3, full_minus_pair(t)) for t in combinations(range(1, 7), 3)
+                  if 1 in t]
+    decided = 0
+    for c in every_k3_complex_on_five_vertices() + exceptions + props + small:
+        m = SimplicialMatroid(c, field)
+        got = is_strongly_triangulable_brute(m)
+        if c in exceptions:
+            assert got and simplicial_faces(c) == []
+        if c in props:
+            assert not got
+        # over the rationals the oracle enumerates independent subsets:
+        # about a second on each 18-face exception
+        if field == QQ and len(c.faces_k) > 12:
+            continue
+        try:
+            want = strongly_triangulable_by_circuits(m, 1 << 12)
+        except GuardExceeded:
+            continue
+        assert got == want
+        decided += 1
+    assert decided >= 1075
 
 
 def test_strongly_triangulable_matches_enumeration_oracle():
@@ -171,7 +225,7 @@ def test_strongly_triangulable_matches_enumeration_oracle():
     assert decided >= 200
 
 
-@pytest.mark.parametrize("field", [GF2, GF(3), GF(5), QQ], ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_any_span_solution_covers_the_circuit(field):
     # the lemma behind is_strongly_triangulable_brute: apexes inside the
     # circuit's vertex set W with nonzero coefficients cover exactly W
@@ -179,7 +233,7 @@ def test_any_span_solution_covers_the_circuit(field):
                  build_complex(7, 3, stacked_faces(7, 3, 1)), build_complex(9, 3, EXAMPLE3_TRIPLES)]
     for c in complexes:
         m = SimplicialMatroid(c, field)
-        skeleton, skeleton_cols = _apex_columns(m)
+        apex_pairs = _columns(m)[1]
         pos = {f: i for i, f in enumerate(m.ground)}
         circuits = matroid_circuits_exhaustive(m)
         assert circuits
@@ -187,7 +241,7 @@ def test_any_span_solution_covers_the_circuit(field):
             want = 0
             for f in circuit:
                 want |= f
-            apexes = [(x, col) for x, col in zip(skeleton, skeleton_cols) if x & want == x]
+            apexes = [(x, col) for x, col in apex_pairs if x & want == x]
             z = circuit_vector(m, circuit)
             sol = solve_columns([col for _, col in apexes],
                                 sparse_column(field, [(pos[f], a) for f, a in z.items_lex()]),
