@@ -8,9 +8,9 @@ Signs are computed over the integers and then cast into the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .complexes import HypercliqueComplex, all_faces, sorted_faces, vertices
+from .complexes import HypercliqueComplex, _bit_positions, all_faces, sorted_faces, vertices
 from .fields import Field, Scalar
 from .linalg import ExactMatrix, dense_column, sparse_column
 
@@ -80,17 +80,22 @@ class ChainVector:
         return f"ChainVector({self.field}; {terms or '0'})"
 
 
+def _signed_facets(f: int) -> Iterator[tuple[int, int]]:
+    """(f without its j-th smallest vertex, (-1)^j) for j = 1, 2, ...: the
+    terms of the boundary of f, by the incidence rule."""
+    sign = -1
+    for i in _bit_positions(f):
+        yield f & ~(1 << i), sign
+        sign = -sign
+
+
 def boundary(c: HypercliqueComplex, f: int, field: Field) -> ChainVector:
     """Signed sum of the facets of a single face f with |f| >= 2."""
     if not c.is_face(f):
         raise ValueError(f"{vertices(f)} is not a face of {c!r}")
     if f.bit_count() < 2:
         raise ValueError("boundary needs a face with at least 2 vertices")
-    coeffs = {}
-    for j, v in enumerate(vertices(f), start=1):
-        sub = f & ~(1 << (v - 1))
-        coeffs[sub] = -1 if j % 2 else 1
-    return ChainVector(field, coeffs)
+    return ChainVector(field, _signed_facets(f))
 
 
 @dataclass(frozen=True)
@@ -103,24 +108,26 @@ class BoundaryMatrix:
     field: Field
 
 
-def boundary_columns(c: HypercliqueComplex, field: Field, faces: Sequence[int],
+def boundary_columns(field: Field, faces: Sequence[int],
                      rows: Sequence[int] | None = None) -> tuple[tuple[int, ...], list]:
     """The boundaries of faces as sparse columns in the kernel's form
     (linalg.sparse_column), row i standing for rows[i].  By default the
     rows are the faces that occur in these boundaries, in colex order
-    (the numeric order of their masks)."""
-    chains = [boundary(c, f, field)._coeffs for f in faces]
+    (the numeric order of their masks).  The faces are not checked
+    against a complex: every face of size at least 2 has a boundary."""
     if rows is None:
-        rows = sorted({v for ch in chains for v in ch})
+        rows = sorted({sub for f in faces for sub, _ in _signed_facets(f)})
     pos = {v: i for i, v in enumerate(rows)}
-    cols = [sparse_column(field, [(pos[v], a) for v, a in ch.items()]) for ch in chains]
+    sign = {1: field.of(1), -1: field.of(-1)}
+    cols = [sparse_column(field, [(pos[v], sign[s]) for v, s in _signed_facets(f)])
+            for f in faces]
     return tuple(rows), cols
 
 
 def boundary_matrix(c: HypercliqueComplex, field: Field) -> BoundaryMatrix:
     """A dense view of the boundary columns, over every (k-1)-set of [n]."""
     cols = tuple(sorted_faces(c.faces_k))
-    rows, sparse = boundary_columns(c, field, cols, all_faces(c.n, c.k - 1))
+    rows, sparse = boundary_columns(field, cols, all_faces(c.n, c.k - 1))
     dense = [dense_column(field, col, len(rows)) for col in sparse]
     return BoundaryMatrix(ExactMatrix.from_columns(dense, field, nrows=len(rows)),
                           rows, cols, field)

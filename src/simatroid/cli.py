@@ -14,11 +14,9 @@ from functools import cache
 
 from .certificates import (_parse_face_list, format_decomposition, format_dperfect,
                            format_superdense)
-from .complexes import HypercliqueComplex, face_text, sorted_faces
-from .elimination import (_peel_certificate, check_superdense, check_supersolvable,
-                          find_dperfect_sequence, simplicial_faces)
+from .complexes import face_text, sorted_faces
+from .elimination import _peel, check_superdense, check_supersolvable, simplicial_faces
 from .errors import CertificateError, GuardExceeded, ParseError
-from .fields import Field
 from .instances import (Instance, field_from_token, gen_random, instance_complex,
                         parse_instance, write_instance)
 from .matroid import SimplicialMatroid, verify_full_duality
@@ -75,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_instance(args) -> tuple[Instance, Field]:
+def _instance_matroid(args) -> tuple[SimplicialMatroid, list[str]]:
+    """The one matroid of an instance command, over the chosen field, and
+    the head of its report."""
     if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -83,100 +83,64 @@ def _read_instance(args) -> tuple[Instance, Field]:
         text = sys.stdin.read()
     inst = parse_instance(text)
     field = field_from_token(args.field) if args.field else inst.field
-    return inst, field
-
-
-def _head(inst: Instance, field: Field) -> list[str]:
-    return [f"n {inst.n}", f"k {inst.k}", f"field {field.name}", f"faces {len(inst.faces)}"]
+    head = [f"n {inst.n}", f"k {inst.k}", f"field {field.name}", f"faces {len(inst.faces)}"]
+    return SimplicialMatroid(instance_complex(inst), field), head
 
 
 def _block(text: str) -> list[str]:
     return text.rstrip("\n").splitlines()
 
 
-def _cmd_analyze(args) -> tuple[int, list[str]]:
-    inst, field = _read_instance(args)
-    c = instance_complex(inst)
-    m = SimplicialMatroid(c, field)
-    lines = _head(inst, field)
-    lines.append(f"rank {m.rank}")
-    lines.append(f"nullity {len(m.ground) - m.rank}")
-    facets = sorted_faces(c.facets)
+# Each instance command answers from the instance's matroid: (exit status,
+# report lines after the head).
+
+def _cmd_analyze(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
+    lines = [f"rank {m.rank}", f"nullity {len(m.ground) - m.rank}"]
+    facets = sorted_faces(m.complex.facets)
     lines.append(f"facets {len(facets)}")
     lines.extend(f"facet {face_text(f)}" for f in facets)
-    simp = simplicial_faces(c)
+    simp = simplicial_faces(m.complex)
     lines.append(f"simplicial-faces {len(simp)}")
     lines.extend(f"simplicial {face_text(v)}" for v in simp)
     return 0, lines
 
 
-def _cmd_perfect(args) -> tuple[int, list[str]]:
-    inst, field = _read_instance(args)
-    c = instance_complex(inst)
-    cert = find_dperfect_sequence(c, field)
-    lines = _head(inst, field)
+def _cmd_perfect(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
+    cert = _peel(m)
     if cert is None:
-        lines.append("d-perfect false")
-    else:
-        lines.append("d-perfect true")
-        lines.extend(_block(format_dperfect(cert)))
-    return 0, lines
+        return 0, ["d-perfect false"]
+    return 0, ["d-perfect true", *_block(format_dperfect(cert))]
 
 
-def _cmd_superdense(args) -> tuple[int, list[str]]:
-    inst, field = _read_instance(args)
-    m = SimplicialMatroid(instance_complex(inst), field)
+def _cmd_superdense(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
     cert = check_superdense(m)
-    lines = _head(inst, field)
     if cert is None:
-        lines.append("superdense false")
-    else:
-        lines.append("superdense true")
-        lines.extend(_block(format_superdense(cert)))
-    return 0, lines
+        return 0, ["superdense false"]
+    return 0, ["superdense true", *_block(format_superdense(cert))]
 
 
-def _cmd_supersolvable(args) -> tuple[int, list[str]]:
-    inst, field = _read_instance(args)
-    m = SimplicialMatroid(instance_complex(inst), field)
-    lines = _head(inst, field)
-    lines.append(f"supersolvable {'true' if check_supersolvable(m) else 'false'}")
-    return 0, lines
+def _cmd_supersolvable(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
+    return 0, [f"supersolvable {'true' if check_supersolvable(m) else 'false'}"]
 
 
-def _cmd_triangulate(args) -> tuple[int, list[str]]:
-    inst, field = _read_instance(args)
-    m = SimplicialMatroid(instance_complex(inst), field)
-    lines = _head(inst, field)
-    plain = is_triangulable(m)
-    lines.append(f"triangulable {'true' if plain else 'false'}")
-    if not plain:
-        lines.append("strongly-triangulable false")
-        return 0, lines
+def _cmd_triangulate(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
+    if not is_triangulable(m):
+        return 0, ["triangulable false", "strongly-triangulable false"]
     try:
         strong = is_strongly_triangulable_brute(m)
     except GuardExceeded as exc:
-        lines.append("strongly-triangulable inconclusive")
-        lines.append(f"note {exc}")
-        return 2, lines
-    lines.append(f"strongly-triangulable {'true' if strong else 'false'}")
-    return 0, lines
+        return 2, ["triangulable true", "strongly-triangulable inconclusive", f"note {exc}"]
+    return 0, ["triangulable true", f"strongly-triangulable {'true' if strong else 'false'}"]
 
 
-def _cmd_decompose(args) -> tuple[int, list[str]]:
-    inst, field = _read_instance(args)
-    c = instance_complex(inst)
-    m = SimplicialMatroid(c, field)
+def _cmd_decompose(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
     circuit = _parse_face_list(args.circuit, args.circuit)
-    peel = _peel_certificate(c)
+    peel = _peel(m)
     if peel is None:
         raise ValueError("instance has no complete simplicial peel; cannot decompose")
-    target = circuit_vector(m, circuit)
-    cert = strong_decompose(m, target, peel)
-    lines = _head(inst, field)
-    lines.append(f"circuit {' , '.join(face_text(f) for f in sorted_faces(circuit))}")
-    lines.extend(_block(format_decomposition(cert)))
-    return 0, lines
+    cert = strong_decompose(m, circuit_vector(m, circuit), peel)
+    return 0, [f"circuit {' , '.join(face_text(f) for f in sorted_faces(circuit))}",
+               *_block(format_decomposition(cert))]
 
 
 def _cmd_dual_check(args) -> tuple[int, list[str]]:
@@ -209,16 +173,15 @@ def _cmd_gen(args) -> tuple[int, list[str]]:
     return 0, _block(write_instance(inst))
 
 
-_COMMANDS = {
+_INSTANCE_COMMANDS = {
     "analyze": _cmd_analyze,
     "perfect": _cmd_perfect,
     "superdense": _cmd_superdense,
     "supersolvable": _cmd_supersolvable,
     "triangulate": _cmd_triangulate,
     "decompose": _cmd_decompose,
-    "dual-check": _cmd_dual_check,
-    "gen": _cmd_gen,
 }
+_COMMANDS = {"dual-check": _cmd_dual_check, "gen": _cmd_gen}
 
 
 def run_command(argv) -> tuple[int, str]:
@@ -233,7 +196,12 @@ def run_command(argv) -> tuple[int, str]:
     except SystemExit as exc:
         return (0 if not exc.code else 1), ""
     try:
-        code, lines = _COMMANDS[args.command](args)
+        if args.command in _INSTANCE_COMMANDS:
+            m, head = _instance_matroid(args)
+            code, lines = _INSTANCE_COMMANDS[args.command](m, args)
+            lines = head + lines
+        else:
+            code, lines = _COMMANDS[args.command](args)
     except GuardExceeded as exc:
         return 2, f"inconclusive: {exc}\n"
     except (ParseError, CertificateError, ValueError, OSError) as exc:

@@ -119,11 +119,18 @@ def verify_dperfect(c: HypercliqueComplex, field: Field, cert: DPerfectCertifica
 
 
 def _verify_dperfect(m: SimplicialMatroid, cert: DPerfectCertificate) -> None:
-    """verify_dperfect on a matroid the caller holds, reusing its rank cache."""
+    """verify_dperfect on a matroid the caller holds, reusing its rank cache.
+    A peel it accepts is recorded on m and not checked again there; one it
+    rejects is not recorded.  The record holds the steps as tuples, so a
+    certificate built from lists is recorded too."""
+    key = (tuple(cert.sequence), tuple(map(frozenset, cert.cocircuits)))
+    if key in m._verified_peels:
+        return
     r = m.rank
     if len(cert.sequence) != r or len(cert.cocircuits) != r:
         raise CertificateError(f"sequence length {len(cert.sequence)} != rank {r}")
-    _verify_peel(m, zip(cert.sequence, cert.cocircuits))
+    _verify_peel(m, zip(*key))
+    m._verified_peels.add(key)
 
 
 class _ResidualIndex:
@@ -229,22 +236,22 @@ def _peel_search(c: HypercliqueComplex) -> list[tuple[int, frozenset[int]]] | No
     return acc if dfs() else None
 
 
-def _peel_certificate(c: HypercliqueComplex) -> DPerfectCertificate | None:
-    """The peel search's steps as a certificate, not yet verified."""
-    steps = _peel_search(c)
+def _peel(m: SimplicialMatroid) -> DPerfectCertificate | None:
+    """The lex-first complete simplicial peel of m's complex, verified
+    against m, or None when none exists."""
+    steps = _peel_search(m.complex)
     if steps is None:
         return None
-    return DPerfectCertificate(sequence=tuple(v for v, _ in steps),
+    cert = DPerfectCertificate(sequence=tuple(v for v, _ in steps),
                                cocircuits=tuple(st for _, st in steps))
+    _verify_dperfect(m, cert)
+    return cert
 
 
 def find_dperfect_sequence(c: HypercliqueComplex,
                            field: Field = GF2) -> DPerfectCertificate | None:
     """A verified complete simplicial peel, or None when none exists."""
-    cert = _peel_certificate(c)
-    if cert is not None:
-        verify_dperfect(c, field, cert)
-    return cert
+    return _peel(SimplicialMatroid(c, field))
 
 
 def check_basic_linear_sequence(c: HypercliqueComplex, field: Field,
@@ -349,7 +356,4 @@ def check_supersolvable(m: SimplicialMatroid) -> bool:
     it finds is verified against m."""
     if m.complex.k > 2:
         return m.rank == len(m.ground)
-    steps = _peel_search(m.complex)
-    if steps is not None:
-        _verify_peel(m, steps)
-    return steps is not None
+    return _peel(m) is not None

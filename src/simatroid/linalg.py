@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .complexes import _bit_positions
 from .fields import Field, Scalar
 
 
@@ -210,7 +211,7 @@ class IncrementalRank:
 
     def _scalars(self, combo) -> dict[int, Scalar]:
         if self._gf2:
-            return {j: 1 for j in _bit_indices(combo)}
+            return {j: 1 for j in _bit_positions(combo)}
         return {j: self.field.of(a) for j, a in combo.items()}
 
     def relation(self) -> dict[int, Scalar]:
@@ -232,13 +233,6 @@ class IncrementalRank:
             self.pop()
             return None
         return {j: self.field.neg(a) for j, a in self._scalars(self._relation).items()}
-
-
-def _bit_indices(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def column_relations(cols: Sequence,

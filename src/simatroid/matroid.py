@@ -19,11 +19,12 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from .chains import ChainVector, boundary, boundary_columns
-from .complexes import HypercliqueComplex, face_sort_key, full_complex, sorted_faces, vertices
+from .complexes import (HypercliqueComplex, _bit_positions, face_sort_key, full_complex,
+                        sorted_faces, vertices)
 from .errors import GuardExceeded
 from .fields import Field, Scalar
-from .linalg import (IncrementalRank, _bit_indices, column_relations, combine, dense_column,
-                     echelon_rows, sparse_column)
+from .linalg import (IncrementalRank, column_relations, combine, dense_column, echelon_rows,
+                     sparse_column)
 
 DEFAULT_BRUTE_GROUND = 22
 DEFAULT_SPAN_LIMIT = 1 << 22
@@ -46,6 +47,7 @@ class SimplicialMatroid:
         self.ground: tuple[int, ...] = tuple(sorted_faces(complex.faces_k))
         self._ground_set = frozenset(self.ground)
         self._rank_cache: dict[frozenset[int], int] = {}
+        self._verified_peels: set = set()   # (sequence, cocircuits) of peels accepted here
 
     def __repr__(self) -> str:
         return f"SimplicialMatroid({self.complex!r}, {self.field})"
@@ -53,8 +55,15 @@ class SimplicialMatroid:
     @cached_property
     def _cols(self) -> dict:
         """Boundary column of each k-face, built on first use."""
-        _, cols = boundary_columns(self.complex, self.field, self.ground)
+        _, cols = boundary_columns(self.field, self.ground)
         return dict(zip(self.ground, cols))
+
+    @cached_property
+    def _apex_cols(self) -> list[tuple[int, object]]:
+        """(apex, boundary column over the ground set) of each (k+1)-face,
+        in lex order, built on first use."""
+        apexes = sorted_faces(self.complex.skeleton(self.complex.k + 1))
+        return list(zip(apexes, boundary_columns(self.field, apexes, self.ground)[1]))
 
     @property
     def rank(self) -> int:
@@ -136,7 +145,7 @@ class SimplicialMatroid:
                 inc.pop()
 
         dfs(0, 0)
-        circuits = [frozenset(g[j] for j in _bit_indices(mask)) for mask in found]
+        circuits = [frozenset(g[j] for j in _bit_positions(mask)) for mask in found]
         return sorted(circuits, key=lambda c: (len(c), sorted(map(face_sort_key, c))))
 
     def is_dependency(self, chain: ChainVector) -> bool:
@@ -275,7 +284,7 @@ def _relations(m: SimplicialMatroid) -> tuple[list[int], dict]:
 
 
 def _face_sets(m: SimplicialMatroid, masks: Iterable[int]) -> set[frozenset[int]]:
-    return {frozenset(m.ground[i] for i in _bit_indices(s)) for s in masks}
+    return {frozenset(m.ground[i] for i in _bit_positions(s)) for s in masks}
 
 
 def matroid_circuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:

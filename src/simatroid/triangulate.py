@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chains import ChainVector, boundary, boundary_columns
-from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_key, sorted_faces,
+from .chains import ChainVector, boundary
+from .complexes import (HypercliqueComplex, build_complex, face_of, face_sort_key,
                         submasks_of_size, vertices)
-from .elimination import (DPerfectCertificate, _peel_search, _verify_dperfect, _verify_peel,
-                          simplicial_faces)
+from .elimination import DPerfectCertificate, _peel, _verify_dperfect, simplicial_faces
 from .errors import CertificateError, GuardExceeded
 from .fields import GF2, Scalar
 from .linalg import IncrementalRank, column_relations, dense_column
@@ -30,26 +29,18 @@ STRONG_SCAN_LIMIT = 1 << 16
 
 def is_triangulable(m: SimplicialMatroid) -> bool:
     """Do the boundaries of the (k+1)-faces span the circuit space?"""
-    return _triangulable_on(m.field, *_columns(m), (1 << m.complex.n) - 1)
+    return _triangulable_on(m, (1 << m.complex.n) - 1)
 
 
-def _columns(m: SimplicialMatroid) -> tuple[list, list]:
-    """(face, boundary column) pairs of the k-faces, and of the (k+1)-faces
-    in lex order with their boundaries as columns over the ground set."""
-    apexes = sorted_faces(m.complex.skeleton(m.complex.k + 1))
-    apex_cols = boundary_columns(m.complex, m.field, apexes, m.ground)[1]
-    return list(m._cols.items()), list(zip(apexes, apex_cols))
-
-
-def _triangulable_on(field, faces: list, apexes: list, w: int) -> bool:
+def _triangulable_on(m: SimplicialMatroid, w: int) -> bool:
     """Is the subcomplex induced on the vertex set w triangulable: do the
     boundaries of the apexes inside w reach the nullity of its faces?"""
-    inside = [col for f, col in faces if f & w == f]
-    inc = IncrementalRank(field)
+    inside = [col for f, col in m._cols.items() if f & w == f]
+    inc = IncrementalRank(m.field)
     inc.extend(inside)
     nullity = len(inside) - inc.rank
-    inc = IncrementalRank(field)
-    for apex, col in apexes:
+    inc = IncrementalRank(m.field)
+    for apex, col in m._apex_cols:
         if inc.rank == nullity:
             break
         if apex & w == apex:
@@ -122,8 +113,9 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
     Support members are eliminated stage by stage: at the earliest peel
     stage meeting the support, every member shares the peeled (k-1)-face
     and any two of them span a (k+1)-face, so boundaries of those apexes
-    clear the stage without touching earlier ones.  The result is checked
-    by verify_decomposition before being returned.
+    clear the stage without touching earlier ones.  The peel is verified
+    once per matroid, on the first call that passes it with m; the result
+    is checked by verify_decomposition before being returned.
     """
     field = m.field
     if target.field != field:
@@ -181,15 +173,12 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     vertex sets of the faces' vertices are scanned, smallest first; the
     scan is sized first and raises GuardExceeded above STRONG_SCAN_LIMIT.
     """
-    faces, apexes = _columns(m)
     span = 0
     for f in m.ground:
         span |= f
-    if not _triangulable_on(m.field, faces, apexes, span):
+    if not _triangulable_on(m, span):
         return False
-    steps = _peel_search(m.complex)
-    if steps is not None:
-        _verify_peel(m, steps)
+    if _peel(m) is not None:
         return True
     if m.complex.k == 2:
         return False
@@ -197,7 +186,7 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     if 1 << n > STRONG_SCAN_LIMIT:
         raise GuardExceeded(f"strong triangulability check needs a scan of 2^{n} = {1 << n} "
                             f"vertex sets, above the limit of {STRONG_SCAN_LIMIT}")
-    return all(_triangulable_on(m.field, faces, apexes, w)
+    return all(_triangulable_on(m, w)
                for size in range(m.complex.k + 1, n) for w in submasks_of_size(span, size))
 
 

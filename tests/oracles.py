@@ -213,17 +213,10 @@ def incidence(small: int, big: int) -> int:
     return -1 if position % 2 else 1
 
 
-def _signed_columns(n: int, faces: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
-    """Dense boundary columns of faces over the given row faces, signs
-    alternating along each face's sorted vertices."""
-    row = {r: j for j, r in enumerate(rows)}
-    cols = []
-    for f in faces:
-        col = [0] * len(rows)
-        for pos, i in enumerate(i for i in range(n) if f >> i & 1):
-            col[row[f & ~(1 << i)]] = (-1) ** pos
-        cols.append(col)
-    return cols
+def _signed_columns(faces: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
+    """Dense boundary columns of faces over the given row faces: each
+    entry is the incidence sign of its row in its face."""
+    return [[incidence(r, f) for r in rows] for f in faces]
 
 
 def _ridges(n: int, faces: Iterable[int]) -> list[int]:
@@ -233,7 +226,7 @@ def _ridges(n: int, faces: Iterable[int]) -> list[int]:
 def boundary_rank(n: int, field, faces: frozenset[int]) -> int:
     """Dense rank of the boundary columns of faces."""
     ridges = _ridges(n, faces)
-    return dense_rank(transpose(_signed_columns(n, sorted(faces), ridges), len(ridges)), field)
+    return dense_rank(transpose(_signed_columns(sorted(faces), ridges), len(ridges)), field)
 
 
 def peel_step_checker(c, field):
@@ -350,7 +343,7 @@ def decomposable_inside(c, field, circuit, span_limit: int, subset_limit: int) -
     for f in faces:
         want |= f
     ridges = _ridges(c.n, faces)
-    kernel = dense_nullspace(transpose(_signed_columns(c.n, faces, ridges), len(ridges)),
+    kernel = dense_nullspace(transpose(_signed_columns(faces, ridges), len(ridges)),
                              F, len(faces))
     assert len(kernel) == 1 and all(not F.is_zero(a) for a in kernel[0]), "not a circuit"
     inside = sorted(f for f in c.faces_k if f & want == f)
@@ -359,7 +352,7 @@ def decomposable_inside(c, field, circuit, span_limit: int, subset_limit: int) -
     verts = [i for i in range(c.n) if want >> i & 1]
     apexes = [a for a in (sum(1 << i for i in sub) for sub in combinations(verts, c.k + 1))
               if all((a & ~(1 << i)) in c.faces_k for i in verts if a >> i & 1)]
-    cols = _signed_columns(c.n, apexes, inside)
+    cols = _signed_columns(apexes, inside)
 
     def cover(js) -> int:
         out = 0
@@ -406,7 +399,7 @@ def strongly_triangulable_by_circuits(m, limit: int) -> bool:
     the circuits span the dependencies."""
     c = m.complex
     apexes = sorted_faces(c.skeleton(c.k + 1))
-    apex_cols = boundary_columns(c, m.field, apexes, m.ground)[1]
+    apex_cols = boundary_columns(m.field, apexes, m.ground)[1]
     pos = {f: i for i, f in enumerate(m.ground)}
     kernels: dict[int, IncrementalRank] = {}
     for circuit in matroid_circuits_exhaustive(m, limit):

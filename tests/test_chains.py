@@ -1,9 +1,12 @@
 import pytest
-from oracles import incidence
+from oracles import _ridges, _signed_columns, incidence
 
-from simatroid import (ChainVector, GF, GF2, QQ, boundary, boundary_matrix, build_complex, face,
-                      full_complex, gen_random, instance_complex, vertices)
+from simatroid import (ChainVector, GF, GF2, QQ, SimplicialMatroid, boundary, boundary_matrix,
+                      build_complex, face, full_complex, gen_random, instance_complex,
+                      sorted_faces, vertices)
+from simatroid.chains import boundary_columns
 from simatroid.complexes import all_faces
+from simatroid.linalg import dense_column
 
 
 def test_boundary_sign_convention():
@@ -29,6 +32,27 @@ def test_boundary_of_boundary_is_zero():
                 for f, a in outer.items_lex():
                     total = total.add_scaled(boundary(c, f, field), a)
                 assert total.is_zero()
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ], ids=str)
+def test_boundary_columns_match_incidence_oracle(field):
+    # k-face columns over the default colex rows, (k+1)-face columns over
+    # the ground set, against dense columns signed by incidence alone
+    for n, k, density in ((7, 2, "3/5"), (7, 3, "4/5"), (8, 3, "3/4"), (7, 4, "9/10")):
+        c = instance_complex(gen_random(n, k, density, 641))
+        m = SimplicialMatroid(c, field)
+        apexes = sorted_faces(c.skeleton(k + 1))
+        assert apexes
+        for faces, rows, want_rows in ((m.ground, None, _ridges(c.n, m.ground)),
+                                       (apexes, m.ground, m.ground)):
+            got_rows, cols = boundary_columns(field, faces, rows)
+            assert got_rows == tuple(want_rows)
+            assert [dense_column(field, col, len(got_rows)) for col in cols] == \
+                [tuple(map(field.of, want)) for want in _signed_columns(faces, want_rows)]
+            if rows is None:
+                assert [m._cols[f] for f in faces] == cols
+            else:
+                assert m._apex_cols == list(zip(apexes, cols))
 
 
 def test_boundary_rejects_non_faces():

@@ -1,9 +1,13 @@
 import contextlib
 import io
+import sys
 import time
+from collections import Counter
 
 import pytest
-from conftest import full_minus_pair, instance_text
+from conftest import EXAMPLE3_TEXT, full_minus_pair, instance_text
+
+import simatroid.chains
 
 from simatroid import (GF2, GuardExceeded, SimplicialMatroid, build_complex, check_chordal_graph,
                       gen_random, parse_decomposition, parse_dperfect, parse_instance,
@@ -175,6 +179,48 @@ def test_decompose_errors(tmp_path):
     code, text = run_command(["decompose", "--file", write_tmp(tmp_path, CHORD4_TEXT, "ch.txt"),
                               "--circuit", "1 2 , 2 3"])
     assert code == 1 and "error" in text
+
+
+INSTANCE_COMMANDS = ("analyze", "perfect", "superdense", "supersolvable", "triangulate",
+                     "decompose")
+
+
+def test_each_command_builds_one_matroid_and_each_column_set_once(tmp_path, monkeypatch):
+    # a command answers from one SimplicialMatroid, and no set of boundary
+    # columns (same faces over the same rows) is built twice
+    matroids = []
+    real_init = SimplicialMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        matroids.append(self)
+        real_init(self, *args, **kwargs)
+
+    builds = Counter()
+    real_columns = simatroid.chains.boundary_columns
+
+    def counting_columns(*args):
+        builds[tuple(tuple(a) if isinstance(a, list) else a for a in args)] += 1
+        return real_columns(*args)
+
+    monkeypatch.setattr(SimplicialMatroid, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("simatroid") and vars(module).get("boundary_columns") is real_columns:
+            monkeypatch.setattr(module, "boundary_columns", counting_columns)
+    cases = [(CHORD4_TEXT, "2", "1 2 , 1 3 , 2 3"), (CHORD4_TEXT, "q", "1 2 , 1 3 , 2 3"),
+             (EXAMPLE3_TEXT, "3", "4 5 6 , 4 5 7 , 4 6 7 , 5 6 7"),
+             (instance_text(6, 3, "q", full_minus_pair()), "q", "1 2 4 , 1 2 5 , 1 4 5 , 2 4 5")]
+    for text, field, circuit in cases:
+        path = write_tmp(tmp_path, text)
+        for command in INSTANCE_COMMANDS:
+            matroids.clear()
+            builds.clear()
+            extra = ["--circuit", circuit] if command == "decompose" else []
+            code, report = run_command([command, "--file", path, "--field", field, *extra])
+            assert code in (0, 1), report
+            assert len(matroids) == 1, (command, report)
+            assert max(builds.values(), default=1) == 1, (command, sorted(builds.values()))
+            if command == "triangulate":
+                assert len(builds) == 2     # the k-face and the (k+1)-face columns
 
 
 def test_dual_check():

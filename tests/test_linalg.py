@@ -161,7 +161,7 @@ def kernel_cases(field, seed):
                                for _ in range(nrows)] for _ in range(ncols)]))
     for i in range(8):
         c = instance_complex(gen_random(6, 2 + i % 2, "1/2", seed + i))
-        rows, cols = boundary_columns(c, field, sorted_faces(c.faces_k))
+        rows, cols = boundary_columns(field, sorted_faces(c.faces_k))
         if rows:
             cases.append((len(rows), [dense_column(field, col, len(rows)) for col in cols]))
     return cases

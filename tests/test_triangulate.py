@@ -15,8 +15,8 @@ from simatroid import (CertificateError, ChainVector, DPerfectCertificate, GF, G
                       is_strongly_triangulable_brute, is_triangulable,
                       matroid_circuits_exhaustive, simplicial_faces, sorted_faces,
                       strong_decompose, verify_decomposition, vertices)
+from simatroid import elimination
 from simatroid.linalg import solve_columns, sparse_column
-from simatroid.triangulate import _columns
 
 FIELDS = [GF2, GF(3), GF(5), QQ]
 
@@ -87,6 +87,35 @@ def test_strong_decompose_covers_all_circuits():
     for circuit in circuits:
         result = strong_decompose(m, circuit_vector(m, circuit), cert)
         assert len(result) >= 1
+
+
+def test_strong_decompose_verifies_a_peel_once_per_matroid(monkeypatch):
+    c = full_complex(5, 2)
+    cert = find_dperfect_sequence(c, GF(3))
+    m = SimplicialMatroid(c, GF(3))
+    targets = [circuit_vector(m, z) for z in sorted(matroid_circuits_exhaustive(m), key=sorted)]
+    calls = []
+    real = elimination._verify_peel
+    monkeypatch.setattr(elimination, "_verify_peel", lambda *args: calls.append(1) or real(*args))
+    for target in targets[:5]:
+        strong_decompose(m, target, cert)
+    assert len(calls) == 1
+    # a certificate that fails is checked again on every call, and a good
+    # peel recorded before does not let it through
+    rotated = DPerfectCertificate(cert.sequence, cert.cocircuits[1:] + cert.cocircuits[:1])
+    for _ in range(2):
+        with pytest.raises(CertificateError):
+            strong_decompose(m, targets[0], rotated)
+    assert len(calls) == 3
+    strong_decompose(m, targets[0], cert)
+    listed = DPerfectCertificate(list(cert.sequence), [set(st) for st in cert.cocircuits])
+    strong_decompose(m, targets[0], listed)
+    assert len(calls) == 3
+    # the peel the CLI finds on its own matroid is recorded there
+    m = SimplicialMatroid(c, GF(3))
+    peel = elimination._peel(m)
+    strong_decompose(m, targets[0], peel)
+    assert peel == cert and len(calls) == 4
 
 
 def test_verify_decomposition_rejections():
@@ -233,7 +262,6 @@ def test_any_span_solution_covers_the_circuit(field):
                  build_complex(7, 3, stacked_faces(7, 3, 1)), build_complex(9, 3, EXAMPLE3_TRIPLES)]
     for c in complexes:
         m = SimplicialMatroid(c, field)
-        apex_pairs = _columns(m)[1]
         pos = {f: i for i, f in enumerate(m.ground)}
         circuits = matroid_circuits_exhaustive(m)
         assert circuits
@@ -241,7 +269,7 @@ def test_any_span_solution_covers_the_circuit(field):
             want = 0
             for f in circuit:
                 want |= f
-            apexes = [(x, col) for x, col in apex_pairs if x & want == x]
+            apexes = [(x, col) for x, col in m._apex_cols if x & want == x]
             z = circuit_vector(m, circuit)
             sol = solve_columns([col for _, col in apexes],
                                 sparse_column(field, [(pos[f], a) for f, a in z.items_lex()]),
