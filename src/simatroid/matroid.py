@@ -19,7 +19,7 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from .chains import ChainVector, boundary, boundary_columns
-from .complexes import (HypercliqueComplex, _bit_positions, face_sort_key, full_complex,
+from .complexes import (HypercliqueComplex, _bit_positions, all_faces, face_sort_key,
                         sorted_faces, vertices)
 from .errors import GuardExceeded
 from .fields import Field, Scalar
@@ -28,7 +28,7 @@ from .linalg import (IncrementalRank, column_relations, combine, dense_column, e
 
 DEFAULT_BRUTE_GROUND = 22
 DEFAULT_SPAN_LIMIT = 1 << 22
-DEFAULT_DUALITY_SPAN = 1 << 16
+DUALITY_FACE_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -313,46 +313,90 @@ def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPA
     return out
 
 
-def verify_full_duality(n: int, k: int, field: Field) -> bool:
-    """Complementation maps the circuits of the full (n-k)-matroid onto the
-    cocircuits of the full k-matroid on [n].  Both families are computed
-    exhaustively and compared as sets of masks over the k-matroid's ground
-    indices; the nullspace of the (n-k)-matroid is enumerated with each
-    face moved to the index of its complement.  When n = 2k one matroid
-    and one elimination serve both families.
+def _complement_sign(f: int) -> int:
+    """The sign of the permutation listing f and then its complement, each
+    increasing.  The vertex of f at position a, its i-th from i = 0, lies
+    above a - i vertices of the complement: the sign is (-1) to the sum of
+    these, whatever the number of vertices."""
+    d = f.bit_count()
+    return -1 if (sum(_bit_positions(f)) - d * (d - 1) // 2) & 1 else 1
 
-    The work is sized in closed form before either matroid is built, and
-    the check refuses above DEFAULT_DUALITY_SPAN.  Over GF(p) both spans
-    (the row space of the k-matroid and the nullspace of the (n-k)-matroid)
-    have dimension C(n-1, k-1), since the full simplex is acyclic over
-    every field; over the rationals the cocircuit scan visits 2^C(n, k)
-    subsets.  The exponents are compared first, so no huge power is formed.
+
+def _full_columns(field: Field, n: int, d: int) -> dict:
+    """d-face -> boundary column over the (d-1)-faces in colex order, for
+    every d-subset of [n] in decreasing mask order.  The kernel then meets
+    first the faces holding the top vertex, each a new pivot at its lowest
+    row, itself less that vertex.  Each later column is cleared in d steps
+    and fills in only rows holding the top vertex, which lie higher."""
+    faces = sorted(all_faces(n, d), reverse=True)
+    return dict(zip(faces, boundary_columns(field, faces)[1]))
+
+
+def _rank(field: Field, cols) -> int:
+    inc = IncrementalRank(field)
+    inc.extend(cols)
+    return inc.rank
+
+
+def _coboundaries_map_to_cycles(field: Field, n: int, k: int, cols_nk: dict, sign) -> bool:
+    """Does the boundary map of the (n-k)-faces (cols_nk, from _full_columns)
+    kill the coboundary of every (k-1)-set u moved by f -> sign(f) * f^c?
+    The coboundary has, at each k-face f = u + x, the incidence sign of u
+    in the boundary of f: (-1)^j, x the j-th smallest vertex of f."""
+    full = (1 << n) - 1
+    moved = {full ^ g: (sign(full ^ g), col) for g, col in cols_nk.items()}
+    for rest in all_faces(n, n - k + 1):
+        u = full ^ rest
+        terms = []
+        for x in _bit_positions(rest):
+            e, col = moved[u | 1 << x]
+            below = (u & (1 << x) - 1).bit_count()     # j = below + 1
+            terms.append((e if below & 1 else -e, col))
+        if combine(field, terms):
+            return False
+    return True
+
+
+def verify_full_duality(n: int, k: int, field: Field) -> bool:
+    """Does complementation carry the circuits of the full (n-k)-matroid on
+    [n] onto the cocircuits of the full k-matroid?  It does over every
+    field (Cordovil and Lindstrom, "Simplicial matroids", 1987); this
+    checks a witness.  Let M_d be the boundary matrix of the d-faces,
+    eps(f) the sign of the permutation listing f and then its complement,
+    each increasing, and phi the map f -> eps(f) * f^c from chains on the
+    k-faces to chains on the (n-k)-faces.  Two checks:
+
+    (a) the boundary map of the (n-k)-faces kills phi(r) for every row r
+        of M_k, the coboundary of a (k-1)-set;
+    (b) rank M_k + rank M_{n-k} = C(n, k), both ranks computed.
+
+    Proof.  The cocircuits of M_k are the minimal nonempty supports of its
+    row space R, the circuits of M_{n-k} those of its nullspace Z.  By
+    (a), phi(R) lies in Z.  phi is a signed permutation of coordinates, so
+    dim phi(R) = rank M_k, which by (b) is C(n, k) - rank M_{n-k} = dim Z.
+    So phi(R) = Z.  phi keeps supports, up to renaming each face by its
+    complement, so the circuits of M_{n-k}, complemented, are exactly the
+    cocircuits of M_k.
+
+    False means a check failed.  A failed (b) refutes the duality, as the
+    dual of M_k has rank C(n, k) - rank M_k; (a) holds over the integers,
+    so its failure is a fault in the program.  Without eps, (a) fails over
+    every field but GF(2).  When n = 2k one column set and one rank serve
+    both sides.  The work is O(C(n, k) * n^2), as _full_columns orders the
+    columns for elimination without fill-in, and the one guard counts
+    faces: C(n, k) is computed before anything is built and refused above
+    DUALITY_FACE_LIMIT.
     """
     if not (2 <= k <= n - 2 and n <= 64):
         raise ValueError(f"duality check needs 2 <= k <= n - 2 and n <= 64, got n={n}, k={k}")
-    limit = DEFAULT_DUALITY_SPAN
-    if field.is_finite:
-        base, dim, what = field.p, comb(n - 1, k - 1), "a span of {} vectors"
-    else:
-        base, dim, what = 2, comb(n, k), "a scan of {} subsets"
-    if dim >= limit.bit_length() or base ** dim > limit:
-        size = f"{base}^{dim}" + (f" = {base ** dim}" if dim < 64 else "")
-        raise GuardExceeded(f"duality check needs {what.format(size)}, "
-                            f"above the limit of {limit}")
-    m_k = SimplicialMatroid(full_complex(n, k), field)
-    m_nk = m_k if n == 2 * k else SimplicialMatroid(full_complex(n, n - k), field)
-    full_mask = (1 << n) - 1
-    pos = {f: i for i, f in enumerate(m_k.ground)}
-    if field.is_finite:
-        pivots, relations = _relations(m_k)
-        cocircuits = _cocircuit_masks(pivots, relations, len(m_k.ground), field, limit)
-        if m_nk is not m_k:
-            relations = _relations(m_nk)[1]
-        perm = [pos[full_mask ^ f] for f in m_nk.ground]
-        moved = {perm[j]: {perm[i]: a for i, a in rel.items()} for j, rel in relations.items()}
-        circuits = _circuit_masks(moved, len(perm), field, limit)
-    else:
-        circuits = [sum(1 << pos[full_mask ^ f] for f in c)
-                    for c in matroid_circuits_exhaustive(m_nk, limit)]
-        cocircuits = [sum(1 << pos[f] for f in c) for c in matroid_cocircuits_exhaustive(m_k, limit)]
-    return set(circuits) == set(cocircuits)
+    faces = comb(n, k)
+    if faces > DUALITY_FACE_LIMIT:
+        raise GuardExceeded(f"duality check needs C({n}, {k}) = {faces} faces, "
+                            f"above the limit of {DUALITY_FACE_LIMIT} faces")
+    cols_k = _full_columns(field, n, k)
+    cols_nk = cols_k if n == 2 * k else _full_columns(field, n, n - k)
+    if not _coboundaries_map_to_cycles(field, n, k, cols_nk, _complement_sign):
+        return False
+    rank_k = _rank(field, cols_k.values())
+    rank_nk = rank_k if n == 2 * k else _rank(field, cols_nk.values())
+    return rank_k + rank_nk == faces

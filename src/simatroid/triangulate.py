@@ -156,6 +156,20 @@ def strong_decompose(m: SimplicialMatroid, target: ChainVector,
     return result
 
 
+def _scanned_vertex_sets(m: SimplicialMatroid, span: int):
+    """The proper subsets W of span, over k vertices, smallest first, in
+    which every vertex lies in two faces inside W."""
+    for size in range(m.complex.k + 1, span.bit_count()):
+        for w in submasks_of_size(span, size):
+            once = twice = 0
+            for f in m.ground:
+                if f & w == f:
+                    twice |= once & f
+                    once |= f
+            if twice == w:
+                yield w
+
+
 def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     """Decide strong triangulability by rank alone, over any field.
 
@@ -172,6 +186,14 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     is a circuit with no triangle inside its vertex set.  Otherwise the
     vertex sets of the faces' vertices are scanned, smallest first; the
     scan is sized first and raises GuardExceeded above STRONG_SCAN_LIMIT.
+
+    The scan skips each W in which some vertex lies in fewer than two
+    faces inside W.  If D[W] is not triangulable, some circuit z of it is
+    outside the span of the apexes inside W, so by the lemma D[W(z)] is
+    not triangulable, W(z) the vertices of z.  Each of them lies in two
+    faces of z: were f the only one, f less another of its vertices would
+    lie in no other face of z, and z's dependency there would be +-z_f.
+    So W(z) is scanned, or is the whole span, which is tested first.
     """
     span = 0
     for f in m.ground:
@@ -186,8 +208,7 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     if 1 << n > STRONG_SCAN_LIMIT:
         raise GuardExceeded(f"strong triangulability check needs a scan of 2^{n} = {1 << n} "
                             f"vertex sets, above the limit of {STRONG_SCAN_LIMIT}")
-    return all(_triangulable_on(m, w)
-               for size in range(m.complex.k + 1, n) for w in submasks_of_size(span, size))
+    return all(_triangulable_on(m, w) for w in _scanned_vertex_sets(m, span))
 
 
 def gen_projective_plane() -> HypercliqueComplex:

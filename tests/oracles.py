@@ -9,11 +9,12 @@ maximal chain of modular flats; peel steps checked by those facets and
 by dense ranks; the peel search that rescans every (k-1)-set at every
 step and the peel verifier that walks the steps forward, rebuilding the
 residual complex each time; circuit decompositions found by
-enumerating solution cosets or apex subsets; and strong triangulability
-decided by one span test per enumerated circuit.  They are slow but plain,
-so the sparse kernel and its callers are checked against them.  The
-incidence sign of a face in the boundary of a larger one is here too, as
-the sign rule the boundary columns are checked against.
+enumerating solution cosets or apex subsets; strong triangulability
+decided by one span test per enumerated circuit; and complement duality
+of the full complexes decided by enumerating both families.  They are
+slow but plain, so the sparse kernel and its callers are checked against
+them.  The incidence sign of a face in the boundary of a larger one is
+here too, as the sign rule the boundary columns are checked against.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from itertools import combinations, product
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
-from simatroid import (CertificateError, HypercliqueComplex, circuit_vector, is_simplicial_face,
-                       matroid_circuits_exhaustive, simplicial_faces, sorted_faces)
+from simatroid import (CertificateError, HypercliqueComplex, SimplicialMatroid, circuit_vector,
+                       full_complex, is_simplicial_face, matroid_circuits_exhaustive,
+                       matroid_cocircuits_exhaustive, simplicial_faces, sorted_faces)
 from simatroid.chains import boundary_columns
 from simatroid.complexes import vertices
 from simatroid.linalg import IncrementalRank, sparse_column
+from simatroid.matroid import _circuit_masks, _cocircuit_masks, _relations
 
 
 def dense_rref(rows: Sequence[Sequence], field) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
@@ -414,3 +417,30 @@ def strongly_triangulable_by_circuits(m, limit: int) -> bool:
         if inc.reduce(sparse_column(m.field, [(pos[f], a) for f, a in z.items_lex()])):
             return False
     return True
+
+
+def duality_by_enumeration(n: int, k: int, field, limit: int) -> bool:
+    """Does complementation carry the circuits of the full (n-k)-matroid
+    onto the cocircuits of the full k-matroid?  Both families are
+    enumerated and compared as masks over the k-matroid's ground indices.
+    Over GF(p) each span walk raises GuardExceeded above limit vectors;
+    over the rationals the circuits come from the independent-set search
+    and the cocircuits from a scan of every subset, refused above limit
+    subsets."""
+    m_k = SimplicialMatroid(full_complex(n, k), field)
+    m_nk = m_k if n == 2 * k else SimplicialMatroid(full_complex(n, n - k), field)
+    full_mask = (1 << n) - 1
+    pos = {f: i for i, f in enumerate(m_k.ground)}
+    if field.is_finite:
+        pivots, relations = _relations(m_k)
+        cocircuits = _cocircuit_masks(pivots, relations, len(m_k.ground), field, limit)
+        if m_nk is not m_k:
+            relations = _relations(m_nk)[1]
+        perm = [pos[full_mask ^ f] for f in m_nk.ground]
+        moved = {perm[j]: {perm[i]: a for i, a in rel.items()} for j, rel in relations.items()}
+        circuits = _circuit_masks(moved, len(perm), field, limit)
+    else:
+        circuits = [sum(1 << pos[full_mask ^ f] for f in c)
+                    for c in matroid_circuits_exhaustive(m_nk, limit)]
+        cocircuits = [sum(1 << pos[f] for f in c) for c in matroid_cocircuits_exhaustive(m_k, limit)]
+    return set(circuits) == set(cocircuits)

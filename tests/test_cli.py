@@ -4,15 +4,14 @@ import sys
 import time
 from collections import Counter
 
-import pytest
 from conftest import EXAMPLE3_TEXT, full_minus_pair, instance_text
 
 import simatroid.chains
 
-from simatroid import (GF2, GuardExceeded, SimplicialMatroid, build_complex, check_chordal_graph,
-                      gen_random, parse_decomposition, parse_dperfect, parse_instance,
-                      parse_superdense, verify_decomposition, verify_dperfect,
-                      verify_full_duality, verify_superdense, write_instance, QQ)
+from simatroid import (GF2, SimplicialMatroid, build_complex, check_chordal_graph, gen_random,
+                      parse_decomposition, parse_dperfect, parse_instance, parse_superdense,
+                      verify_decomposition, verify_dperfect, verify_superdense, write_instance,
+                      QQ)
 from simatroid.cli import _build_parser, main, run_command
 
 CHORD4_TEXT = "4 2\n1 2\n1 3\n1 4\n2 3\n3 4\n"
@@ -226,30 +225,29 @@ def test_each_command_builds_one_matroid_and_each_column_set_once(tmp_path, monk
 def test_dual_check():
     code, text = run_command(["dual-check", "--n", "5", "--k", "2"])
     assert code == 0 and "duality true" in text
-    # no guard flag: the one guard is sized before any work
+    # no guard flag: the one guard counts faces before any work
     assert run_command(["dual-check", "--n", "7", "--k", "2", "--max-brute", "7"])[0] == 1
     code, text = run_command(["dual-check", "--n", "8", "--k", "2"])
     assert code == 0 and "duality true" in text
-    for n, k, subsets in (("7", "2", "2^21 = 2097152"), ("6", "3", "2^20 = 1048576")):
+    # inconclusive under the old span guards, decided by the witness
+    for n, k, field in (("7", "2", "q"), ("6", "3", "q"), ("7", "4", "2")):
         t0 = time.perf_counter()
-        code, text = run_command(["dual-check", "--n", n, "--k", k, "--field", "q"])
-        assert time.perf_counter() - t0 < 0.2
-        assert code == 2 and text.splitlines()[-1] == (
-            f"note duality check needs a scan of {subsets} subsets, above the limit of 65536")
-    # C(63, 31), about 9.2e17, is compared as an exponent, never raised to
+        code, text = run_command(["dual-check", "--n", n, "--k", k, "--field", field])
+        assert time.perf_counter() - t0 < 0.1
+        assert code == 0 and text.splitlines()[-1] == "duality true"
+    # C(64, 32), about 1.8e18 faces, is refused before anything is built
     t0 = time.perf_counter()
-    with pytest.raises(GuardExceeded, match=r"a span of 2\^916312070471295267 vectors"):
-        verify_full_duality(64, 32, GF2)
+    code, text = run_command(["dual-check", "--n", "64", "--k", "32"])
     assert time.perf_counter() - t0 < 0.1
+    assert code == 2 and text.splitlines()[-2:] == [
+        "duality inconclusive",
+        "note duality check needs C(64, 32) = 1832624140942590534 faces, "
+        "above the limit of 4096 faces"]
     code, text = run_command(["dual-check", "--n", "4", "--k", "9"])
     assert code == 1
     # out-of-range n is bad input, not a guard trip
     code, text = run_command(["dual-check", "--n", "65", "--k", "2"])
     assert code == 1 and text.startswith("error: duality check needs")
-    # two spans of 2^20 vectors: refused before either is enumerated
-    code, text = run_command(["dual-check", "--n", "7", "--k", "4"])
-    assert code == 2 and text.splitlines()[-1] == (
-        "note duality check needs a span of 2^20 = 1048576 vectors, above the limit of 65536")
 
 
 def test_gen_random_matches_library():

@@ -3,13 +3,16 @@ import random
 from math import comb
 
 import pytest
-from oracles import boundary_rank, closure, minimal_supports, span_supports
+from oracles import (boundary_rank, closure, duality_by_enumeration, minimal_supports,
+                     span_supports)
 
 from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, build_complex, face,
                       full_complex, gen_random, instance_complex, matroid_circuits_exhaustive,
                       matroid_cocircuits_exhaustive, verify_full_duality)
+from simatroid import matroid
 from simatroid.linalg import column_relations, dense_column, echelon_rows
-from simatroid.matroid import _minimal_supports, _span_supports
+from simatroid.matroid import (_coboundaries_map_to_cycles, _complement_sign, _full_columns,
+                               _minimal_supports, _span_supports)
 
 
 def random_matroid(seed, n, k, field, density="1/2"):
@@ -138,8 +141,7 @@ def test_duality_validation():
         verify_full_duality(4, 3, GF2)
     with pytest.raises(ValueError):
         verify_full_duality(3, 2, GF2)
-    with pytest.raises(GuardExceeded):
-        verify_full_duality(8, 3, GF2)
+    assert verify_full_duality(8, 3, GF2)
     assert verify_full_duality(5, 2, GF2)
     assert verify_full_duality(4, 2, QQ)
 
@@ -199,7 +201,49 @@ def test_gray_walk_matches_recursive_oracle(field):
                     == sorted(minimal_supports(supports)))
 
 
-def test_duality_guard_sizes_both_spans_first():
-    with pytest.raises(GuardExceeded, match=r"2\^20 = 1048576 vectors, above the limit of 65536"):
-        verify_full_duality(7, 4, GF2)
-    assert verify_full_duality(6, 3, GF(3))   # 3^10 = 59049 vectors, inside the limit
+def test_duality_guard_counts_faces_first(monkeypatch):
+    assert verify_full_duality(7, 4, GF2)
+    assert verify_full_duality(6, 3, GF(3))
+    # C(31, 3) = 4495 faces is refused before any column is built
+    monkeypatch.setattr(matroid, "_full_columns", None)
+    with pytest.raises(GuardExceeded, match=r"^duality check needs C\(31, 3\) = 4495 faces, "
+                                            r"above the limit of 4096 faces$"):
+        verify_full_duality(31, 3, QQ)
+    with pytest.raises(GuardExceeded, match=r"C\(64, 32\) = 1832624140942590534 faces"):
+        verify_full_duality(64, 32, GF2)
+
+
+def test_complement_sign_is_the_inversion_parity():
+    for n in range(1, 9):
+        for f in range(1 << n):
+            order = [v for v in range(n) if f >> v & 1] + [v for v in range(n) if not f >> v & 1]
+            inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+            assert _complement_sign(f) == (-1) ** inversions, (n, bin(f))
+
+
+def duality_cases(field):
+    """Every (n, k) with 4 <= n <= 8 that the enumeration oracle decides
+    within 2^16 span vectors (GF(p), span dimension C(n-1, k-1)) or 2^16
+    subsets (QQ)."""
+    return [(n, k) for n in range(4, 9) for k in range(2, n - 1)
+            if (field.p ** comb(n - 1, k - 1) if field.is_finite else 2 ** comb(n, k)) <= 1 << 16]
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), GF(5), QQ], ids=str)
+def test_duality_witness_matches_enumeration_oracle(field):
+    cases = duality_cases(field)
+    assert len(cases) >= 5
+    for n, k in cases:
+        assert verify_full_duality(n, k, field) == duality_by_enumeration(n, k, field, 1 << 16)
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), GF(5), QQ], ids=str)
+def test_unsigned_complement_fails_the_boundary_check(field):
+    """The negative control: without the signs the mapped coboundaries are
+    not cycles, over every field but GF(2), where signs do not matter."""
+    for n in range(4, 9):
+        for k in range(2, n - 1):
+            cols = _full_columns(field, n, n - k)
+            assert _coboundaries_map_to_cycles(field, n, k, cols, _complement_sign)
+            unsigned = _coboundaries_map_to_cycles(field, n, k, cols, lambda f: 1)
+            assert unsigned == (field == GF2), (n, k)

@@ -16,7 +16,9 @@ from simatroid import (CertificateError, ChainVector, DPerfectCertificate, GF, G
                       matroid_circuits_exhaustive, simplicial_faces, sorted_faces,
                       strong_decompose, verify_decomposition, vertices)
 from simatroid import elimination
+from simatroid.complexes import submasks_of_size
 from simatroid.linalg import solve_columns, sparse_column
+from simatroid.triangulate import _scanned_vertex_sets, _triangulable_on
 
 FIELDS = [GF2, GF(3), GF(5), QQ]
 
@@ -225,6 +227,31 @@ def test_strong_check_matches_circuit_oracle(field):
         assert got == want
         decided += 1
     assert decided >= 1075
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_scan_filter_keeps_the_answer(field):
+    """Skipping the vertex sets with a vertex in fewer than two faces inside
+    gives the answer of the scan over every vertex set, on every k = 3
+    complex on five vertices, the ten peel-less exceptions and the
+    Prop. 5.4 family."""
+    exceptions = [build_complex(6, 3, full_minus_pair(t)) for t in combinations(range(1, 7), 3)
+                  if 1 in t]
+    props = [gen_prop54(n, k) for n, k in ((5, 2), (6, 2), (6, 3), (7, 3), (7, 4), (8, 3))]
+    failing = 0
+    for c in every_k3_complex_on_five_vertices() + exceptions + props:
+        m = SimplicialMatroid(c, field)
+        span = 0
+        for f in m.ground:
+            span |= f
+        every = [w for size in range(c.k + 1, span.bit_count())
+                 for w in submasks_of_size(span, size)]
+        scanned = list(_scanned_vertex_sets(m, span))
+        assert set(scanned) <= set(every)
+        want = all(_triangulable_on(m, w) for w in every)
+        assert all(_triangulable_on(m, w) for w in scanned) == want
+        failing += not want
+    assert failing >= len(props)
 
 
 def test_strongly_triangulable_matches_enumeration_oracle():
