@@ -115,12 +115,12 @@ def boundary_columns(field: Field, faces: Sequence[int],
     rows are the faces that occur in these boundaries, in colex order
     (the numeric order of their masks).  The faces are not checked
     against a complex: every face of size at least 2 has a boundary."""
+    terms = [list(_signed_facets(f)) for f in faces]
     if rows is None:
-        rows = sorted({sub for f in faces for sub, _ in _signed_facets(f)})
+        rows = sorted({sub for t in terms for sub, _ in t})
     pos = {v: i for i, v in enumerate(rows)}
     sign = {1: field.of(1), -1: field.of(-1)}
-    cols = [sparse_column(field, [(pos[v], sign[s]) for v, s in _signed_facets(f)])
-            for f in faces]
+    cols = [sparse_column(field, [(pos[v], sign[s]) for v, s in t]) for t in terms]
     return tuple(rows), cols
 
 

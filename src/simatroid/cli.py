@@ -20,8 +20,8 @@ from .errors import CertificateError, GuardExceeded, ParseError
 from .instances import (Instance, field_from_token, gen_random, instance_complex,
                         parse_instance, write_instance)
 from .matroid import SimplicialMatroid, verify_full_duality
-from .triangulate import (circuit_vector, gen_projective_plane, gen_prop54,
-                          is_strongly_triangulable_brute, is_triangulable, strong_decompose)
+from .triangulate import (_strongly_triangulable_given_whole, circuit_vector,
+                          gen_projective_plane, gen_prop54, is_triangulable, strong_decompose)
 
 
 @cache
@@ -127,7 +127,7 @@ def _cmd_triangulate(m: SimplicialMatroid, args) -> tuple[int, list[str]]:
     if not is_triangulable(m):
         return 0, ["triangulable false", "strongly-triangulable false"]
     try:
-        strong = is_strongly_triangulable_brute(m)
+        strong = _strongly_triangulable_given_whole(m)
     except GuardExceeded as exc:
         return 2, ["triangulable true", "strongly-triangulable inconclusive", f"note {exc}"]
     return 0, ["triangulable true", f"strongly-triangulable {'true' if strong else 'false'}"]

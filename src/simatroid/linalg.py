@@ -251,24 +251,6 @@ def column_relations(cols: Sequence,
     return pivots, relations
 
 
-def echelon_rows(pivots: Sequence[int], relations: dict[int, dict[int, Scalar]],
-                 ncols: int, field: Field) -> list[tuple[Scalar, ...]]:
-    """The nonzero rows of the reduced row echelon form, from column_relations.
-
-    Row i belongs to pivot column c_i: one there, and in each other column
-    j minus the coefficient of c_i in j's relation.
-    """
-    rows = []
-    for c in pivots:
-        row = [field.zero] * ncols
-        row[c] = field.one
-        for j, rel in relations.items():
-            if c in rel:
-                row[j] = field.neg(rel[c])
-        rows.append(tuple(row))
-    return rows
-
-
 def solve_columns(cols: Sequence, target, field: Field) -> list[Scalar] | None:
     """Exact coefficients x with sum_j x[j] * cols[j] == target, or None.
 
@@ -344,10 +326,18 @@ class ExactMatrix:
 
     @cached_property
     def _rref(self) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
-        """Reduced row echelon form: (pivot column indices, reduced rows)."""
+        """Reduced row echelon form: (pivot column indices, reduced rows).
+        Row i is one at pivot column c_i and, at each other column j, minus
+        the coefficient of c_i in j's relation."""
+        F = self.field
         pivots, relations = self._relations
-        rows = echelon_rows(pivots, relations, self.ncols, self.field)
-        zero = (self.field.zero,) * self.ncols
+        rows = []
+        for c in pivots:
+            row = [F.one if j == c else F.zero for j in range(self.ncols)]
+            for j, rel in relations.items():
+                row[j] = F.neg(rel.get(c, F.zero))
+            rows.append(tuple(row))
+        zero = (F.zero,) * self.ncols
         return tuple(pivots), tuple(rows) + (zero,) * (self.nrows - len(rows))
 
     def rank(self) -> int:

@@ -23,8 +23,7 @@ from .complexes import (HypercliqueComplex, _bit_positions, all_faces, face_sort
                         sorted_faces, vertices)
 from .errors import GuardExceeded
 from .fields import Field, Scalar
-from .linalg import (IncrementalRank, column_relations, combine, dense_column, echelon_rows,
-                     sparse_column)
+from .linalg import IncrementalRank, column_relations, combine, dense_column, sparse_column
 
 DEFAULT_BRUTE_GROUND = 22
 DEFAULT_SPAN_LIMIT = 1 << 22
@@ -118,34 +117,17 @@ class SimplicialMatroid:
                        max_ground: int = DEFAULT_BRUTE_GROUND) -> list[frozenset[int]]:
         """All circuits of at most max_size elements, smallest first.
 
-        Depth-first search over independent subsets in lexicographic
-        order; each dependent single-element extension yields its unique
-        fundamental circuit.  Refuses when the ground set exceeds
-        max_ground.
+        Enumerated by _circuit_masks with a limit of 2^max_ground: either
+        count it sizes stays below 2^|E|, so the only refusal is the
+        ground set exceeding max_ground.
         """
         g = self.ground
         if len(g) > max_ground:
             raise GuardExceeded(
                 f"circuit enumeration over {len(g)} elements exceeds the guard of {max_ground}")
-        if max_size is None:
-            max_size = len(g)
-        if max_size < 1 or not g:
-            return []
-        found: set[int] = set()     # circuits as masks over ground indices
-        cols = [self._cols[f] for f in g]
-        inc = IncrementalRank(self.field, track=True)
-
-        def dfs(start: int, size: int) -> None:
-            for i in range(start, len(g)):
-                if not inc.add(cols[i], i):
-                    found.add(inc.relation_support())
-                    continue
-                if size + 1 < max_size:
-                    dfs(i + 1, size + 1)
-                inc.pop()
-
-        dfs(0, 0)
-        circuits = [frozenset(g[j] for j in _bit_positions(mask)) for mask in found]
+        masks = _circuit_masks([self._cols[f] for f in g], self.field,
+                               len(g) if max_size is None else max_size, 1 << max_ground)
+        circuits = [frozenset(g[j] for j in _bit_positions(mask)) for mask in masks]
         return sorted(circuits, key=lambda c: (len(c), sorted(map(face_sort_key, c))))
 
     def is_dependency(self, chain: ChainVector) -> bool:
@@ -160,9 +142,10 @@ def _minimal_supports(basis: Sequence[Sequence[Scalar]], pivots: Sequence[int],
 
     basis must be reduced at pivots: basis[i] is one at coordinate
     pivots[i] and zero at every other pivot.  A nullspace basis from
-    column_relations (one vector per dependent column) and the rows of
-    echelon_rows both are.  A vector of V is then sum c_i basis[i] with
-    c_i its entry at pivots[i], so every nonzero vector meets the pivots.
+    column_relations (one vector per dependent column) is.  A vector of V
+    is then sum c_i basis[i] with c_i its entry at pivots[i], so every
+    nonzero vector meets the pivots.  Each support is tested on its own,
+    so any subset of the span's supports may be passed.
 
     Let s be a support and I the basis vectors whose pivot lies in s.
     A vector of V vanishing outside s has c_i = 0 for i outside I, so
@@ -211,11 +194,12 @@ def _gray_steps(digits: int, p: int) -> list[int]:
     return steps
 
 
-def _span_supports(basis: Sequence[Sequence[Scalar]], field: Field, limit: int) -> set[int]:
-    """The supports of the nonzero vectors of the span.  Scaling keeps a
-    support, so only vectors whose first nonzero coefficient is one are
-    visited: basis[i] plus the span of the basis vectors after it, walked
-    in Gray-code order, so each step adds one basis vector.
+def _span_supports(basis: Sequence[Sequence[Scalar]], field: Field) -> set[int]:
+    """The supports of the nonzero vectors of the span over GF(p), p^len(basis)
+    vectors, which the caller sizes.  Scaling keeps a support, so only
+    vectors whose first nonzero coefficient is one are visited: basis[i]
+    plus the span of the basis vectors after it, walked in Gray-code
+    order, so each step adds one basis vector.
 
     Over GF(2) a vector is an int mask and a step is one xor.  Over GF(p)
     a vector is held as its p coordinate-class masks packed in one int,
@@ -223,14 +207,9 @@ def _span_supports(basis: Sequence[Sequence[Scalar]], field: Field, limit: int) 
     a basis vector rotates, within each of its own coordinate classes,
     the lanes by that class's value, whatever the width.
     """
-    p = field.p
-    if p is None:
-        raise ValueError("span enumeration needs a finite field")
-    if p ** len(basis) > limit:
-        raise GuardExceeded(
-            f"span of dimension {len(basis)} over {field} exceeds the enumeration guard")
     if not basis:
         return set()
+    p = field.p
     steps = _gray_steps(len(basis) - 1, p)
     out: set[int] = set()
     if p == 2:
@@ -263,54 +242,80 @@ def _span_supports(basis: Sequence[Sequence[Scalar]], field: Field, limit: int) 
     return out
 
 
-def _circuit_masks(relations: dict, width: int, field: Field, limit: int) -> list[int]:
-    """Circuits as masks over column indices: the minimal supports of the
-    nullspace, whose basis from column_relations is reduced at the
-    dependent columns."""
-    basis = [dense_column(field, rel, width) for rel in relations.values()]
-    return _minimal_supports(basis, list(relations), _span_supports(basis, field, limit), field)
+def _independent_set_circuits(cols: Sequence, field: Field, max_size: int) -> set[int]:
+    """Depth-first search over the independent sets of fewer than max_size
+    columns, in lexicographic order; each dependent single-column
+    extension yields its unique fundamental circuit, as a mask."""
+    found: set[int] = set()
+    inc = IncrementalRank(field, track=True)
+
+    def dfs(start: int, size: int) -> None:
+        for i in range(start, len(cols)):
+            if not inc.add(cols[i], i):
+                found.add(inc.relation_support())
+                continue
+            if size + 1 < max_size:
+                dfs(i + 1, size + 1)
+            inc.pop()
+
+    dfs(0, 0)
+    return found
 
 
-def _cocircuit_masks(pivots: list[int], relations: dict, width: int, field: Field,
-                     limit: int) -> list[int]:
-    """Cocircuits as masks over column indices: the minimal supports of the
-    row space, whose echelon rows are reduced at the pivot columns."""
-    basis = echelon_rows(pivots, relations, width, field)
-    return _minimal_supports(basis, pivots, _span_supports(basis, field, limit), field)
+def _circuit_masks(cols: Sequence, field: Field, max_size: int, limit: int) -> list[int]:
+    """The circuits of at most max_size of the columns (kernel form), as
+    masks over column indices: the minimal supports of the nullspace.
+
+    With d the nullity, the span walk visits p^d vectors and the
+    independent-set search at most sum_{i < max_size} C(|E|, i) subsets.
+    Over GF(p) the walk runs when it is no longer, with supports over
+    max_size dropped before the minimality test; otherwise, and always
+    over the rationals, the search runs.  Either way the chosen count is
+    sized first and refused above limit.
+    """
+    max_size = min(max_size, len(cols))
+    if max_size < 1:
+        return []
+    relations = column_relations(cols, field)[1]
+    subsets = sum(comb(len(cols), i) for i in range(max_size))
+    vectors = field.p ** len(relations) if field.is_finite else None
+    walk = vectors is not None and vectors <= subsets
+    count, unit = (vectors, "vectors") if walk else (subsets, "subsets")
+    if count > limit:
+        raise GuardExceeded(f"circuit enumeration over {len(cols)} elements needs {count} "
+                            f"{unit}, above the limit of {limit}")
+    if not walk:
+        return list(_independent_set_circuits(cols, field, max_size))
+    basis = [dense_column(field, rel, len(cols)) for rel in relations.values()]
+    supports = [s for s in _span_supports(basis, field) if s.bit_count() <= max_size]
+    return _minimal_supports(basis, list(relations), supports, field)
 
 
-def _relations(m: SimplicialMatroid) -> tuple[list[int], dict]:
-    return column_relations([m._cols[f] for f in m.ground], m.field)
+def _dual_columns(cols: Sequence, field: Field) -> list:
+    """Columns whose matroid is the dual of the columns' matroid: column e
+    holds, at row r, the coefficient on e of relation r from
+    column_relations.  The relations are a basis of the nullspace, and a
+    matrix whose rows span the nullspace represents the dual (Oxley,
+    Matroid Theory, 2.2), so its circuits are the cocircuits of cols."""
+    relations = list(column_relations(cols, field)[1].values())
+    return [sparse_column(field, [(r, rel.get(e, 0)) for r, rel in enumerate(relations)])
+            for e in range(len(cols))]
 
 
-def _face_sets(m: SimplicialMatroid, masks: Iterable[int]) -> set[frozenset[int]]:
-    return {frozenset(m.ground[i] for i in _bit_positions(s)) for s in masks}
+def _family(m: SimplicialMatroid, cols: Sequence, limit: int) -> set[frozenset[int]]:
+    """The circuits of cols, one per ground face, as sets of faces."""
+    return {frozenset(m.ground[i] for i in _bit_positions(s))
+            for s in _circuit_masks(cols, m.field, len(cols), limit)}
 
 
 def matroid_circuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:
-    """The full circuit family.
-
-    Over a finite field the minimal supports of the nullspace are
-    enumerated exhaustively; over the rationals this falls back to
-    subset brute force.
-    """
-    if m.field.is_finite:
-        return _face_sets(m, _circuit_masks(_relations(m)[1], len(m.ground), m.field, limit))
-    return set(m.circuits_brute())
+    """The full circuit family, enumerated by _circuit_masks within limit."""
+    return _family(m, [m._cols[f] for f in m.ground], limit)
 
 
 def matroid_cocircuits_exhaustive(m: SimplicialMatroid, limit: int = DEFAULT_SPAN_LIMIT) -> set[frozenset[int]]:
-    """The full cocircuit family: minimal supports of the row space."""
-    if m.field.is_finite:
-        return _face_sets(m, _cocircuit_masks(*_relations(m), len(m.ground), m.field, limit))
-    if 2 ** len(m.ground) > limit:
-        raise GuardExceeded("cocircuit enumeration over the rationals exceeds the guard")
-    out = set()
-    for size in range(1, len(m.ground) + 1):
-        for cand in itertools.combinations(m.ground, size):
-            if m.is_cocircuit(cand):
-                out.add(frozenset(cand))
-    return out
+    """The full cocircuit family: the circuits of the dual columns."""
+    return _family(m, _dual_columns([m._cols[f] for f in m.ground], m.field), limit)
 
 
 def _complement_sign(f: int) -> int:

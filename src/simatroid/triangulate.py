@@ -195,15 +195,18 @@ def is_strongly_triangulable_brute(m: SimplicialMatroid) -> bool:
     lie in no other face of z, and z's dependency there would be +-z_f.
     So W(z) is scanned, or is the whole span, which is tested first.
     """
-    span = 0
-    for f in m.ground:
-        span |= f
-    if not _triangulable_on(m, span):
-        return False
+    return is_triangulable(m) and _strongly_triangulable_given_whole(m)
+
+
+def _strongly_triangulable_given_whole(m: SimplicialMatroid) -> bool:
+    """Every step of is_strongly_triangulable_brute after the whole-span test."""
     if _peel(m) is not None:
         return True
     if m.complex.k == 2:
         return False
+    span = 0
+    for f in m.ground:
+        span |= f
     n = span.bit_count()
     if 1 << n > STRONG_SCAN_LIMIT:
         raise GuardExceeded(f"strong triangulability check needs a scan of 2^{n} = {1 << n} "

@@ -3,7 +3,8 @@
 These are the straightforward versions the program once ran: Gauss-Jordan
 elimination over dense rows, and minimal supports found by comparing
 every support with every minimal one found before it; span supports
-walked by recursion over the basis; facets found by testing every vertex
+walked by recursion over the basis; circuits and cocircuits found by
+testing every subset by rank; facets found by testing every vertex
 subset; supersolvability decided by searching the lattice of flats for a
 maximal chain of modular flats; peel steps checked by those facets and
 by dense ranks; the peel search that rescans every (k-1)-set at every
@@ -30,7 +31,6 @@ from simatroid import (CertificateError, HypercliqueComplex, SimplicialMatroid, 
 from simatroid.chains import boundary_columns
 from simatroid.complexes import vertices
 from simatroid.linalg import IncrementalRank, sparse_column
-from simatroid.matroid import _circuit_masks, _cocircuit_masks, _relations
 
 
 def dense_rref(rows: Sequence[Sequence], field) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
@@ -419,28 +419,31 @@ def strongly_triangulable_by_circuits(m, limit: int) -> bool:
     return True
 
 
+def circuits_by_rank(m, max_size: int | None = None) -> set[frozenset[int]]:
+    """Every circuit of at most max_size faces, by testing every subset: a
+    dependent set whose every one-smaller subset is independent."""
+    out = set()
+    for size in range(1, len(m.ground) + 1 if max_size is None else max_size + 1):
+        for cand in combinations(m.ground, size):
+            if m.rank_of(cand) < size and all(
+                    m.rank_of(cand[:i] + cand[i + 1:]) == size - 1 for i in range(size)):
+                out.add(frozenset(cand))
+    return out
+
+
+def cocircuits_by_rank(m) -> set[frozenset[int]]:
+    """Every cocircuit, by testing every subset with is_cocircuit."""
+    return {frozenset(cand) for size in range(1, len(m.ground) + 1)
+            for cand in combinations(m.ground, size) if m.is_cocircuit(cand)}
+
+
 def duality_by_enumeration(n: int, k: int, field, limit: int) -> bool:
     """Does complementation carry the circuits of the full (n-k)-matroid
     onto the cocircuits of the full k-matroid?  Both families are
-    enumerated and compared as masks over the k-matroid's ground indices.
-    Over GF(p) each span walk raises GuardExceeded above limit vectors;
-    over the rationals the circuits come from the independent-set search
-    and the cocircuits from a scan of every subset, refused above limit
-    subsets."""
+    enumerated, each refused above limit vectors or subsets."""
     m_k = SimplicialMatroid(full_complex(n, k), field)
     m_nk = m_k if n == 2 * k else SimplicialMatroid(full_complex(n, n - k), field)
     full_mask = (1 << n) - 1
-    pos = {f: i for i, f in enumerate(m_k.ground)}
-    if field.is_finite:
-        pivots, relations = _relations(m_k)
-        cocircuits = _cocircuit_masks(pivots, relations, len(m_k.ground), field, limit)
-        if m_nk is not m_k:
-            relations = _relations(m_nk)[1]
-        perm = [pos[full_mask ^ f] for f in m_nk.ground]
-        moved = {perm[j]: {perm[i]: a for i, a in rel.items()} for j, rel in relations.items()}
-        circuits = _circuit_masks(moved, len(perm), field, limit)
-    else:
-        circuits = [sum(1 << pos[full_mask ^ f] for f in c)
-                    for c in matroid_circuits_exhaustive(m_nk, limit)]
-        cocircuits = [sum(1 << pos[f] for f in c) for c in matroid_cocircuits_exhaustive(m_k, limit)]
-    return set(circuits) == set(cocircuits)
+    circuits = {frozenset(full_mask ^ f for f in c)
+                for c in matroid_circuits_exhaustive(m_nk, limit)}
+    return circuits == matroid_cocircuits_exhaustive(m_k, limit)

@@ -7,6 +7,7 @@ from collections import Counter
 from conftest import EXAMPLE3_TEXT, full_minus_pair, instance_text
 
 import simatroid.chains
+import simatroid.triangulate
 
 from simatroid import (GF2, SimplicialMatroid, build_complex, check_chordal_graph, gen_random,
                       parse_decomposition, parse_dperfect, parse_instance, parse_superdense,
@@ -220,6 +221,26 @@ def test_each_command_builds_one_matroid_and_each_column_set_once(tmp_path, monk
             assert max(builds.values(), default=1) == 1, (command, sorted(builds.values()))
             if command == "triangulate":
                 assert len(builds) == 2     # the k-face and the (k+1)-face columns
+
+
+def test_triangulate_tests_the_whole_complex_once(tmp_path, monkeypatch):
+    # is_triangulable decides the whole complex; the strong check starts after it
+    whole = []
+    real = simatroid.triangulate._triangulable_on
+
+    def counting(m, w):
+        span = 0
+        for f in m.ground:
+            span |= f
+        whole.append(w & span == span)
+        return real(m, w)
+
+    monkeypatch.setattr(simatroid.triangulate, "_triangulable_on", counting)
+    for text in (CHORD4_TEXT, CYCLE4_TEXT, instance_text(6, 3, "2", full_minus_pair())):
+        whole.clear()
+        code, report = run_command(["triangulate", "--file", write_tmp(tmp_path, text)])
+        assert code == 0, report
+        assert whole.count(True) == 1, report
 
 
 def test_dual_check():

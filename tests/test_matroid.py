@@ -1,18 +1,18 @@
 import itertools
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
-from oracles import (boundary_rank, closure, duality_by_enumeration, minimal_supports,
-                     span_supports)
+from oracles import (boundary_rank, circuits_by_rank, closure, cocircuits_by_rank,
+                     duality_by_enumeration, minimal_supports, span_supports)
 
 from simatroid import (GF, GF2, QQ, GuardExceeded, SimplicialMatroid, build_complex, face,
                       full_complex, gen_random, instance_complex, matroid_circuits_exhaustive,
-                      matroid_cocircuits_exhaustive, verify_full_duality)
+                      matroid_cocircuits_exhaustive, verify_full_duality, vertices)
 from simatroid import matroid
-from simatroid.linalg import column_relations, dense_column, echelon_rows
-from simatroid.matroid import (_coboundaries_map_to_cycles, _complement_sign, _full_columns,
-                               _minimal_supports, _span_supports)
+from simatroid.linalg import column_relations, dense_column
+from simatroid.matroid import (_coboundaries_map_to_cycles, _complement_sign, _dual_columns,
+                               _full_columns, _minimal_supports, _span_supports)
 
 
 def random_matroid(seed, n, k, field, density="1/2"):
@@ -82,14 +82,85 @@ def test_independent_and_circuits_definition():
                 assert m.rank_of(circuit - {f}) == len(circuit) - 1
 
 
-def test_circuits_brute_agrees_with_span_enumeration():
+def test_circuits_brute_matches_rank_oracle():
     for field in (GF2, GF(3)):
         for seed in range(8):
             m = random_matroid(300 + seed, 5, 2, field, "3/5")
-            assert set(m.circuits_brute()) == matroid_circuits_exhaustive(m)
+            assert set(m.circuits_brute()) == circuits_by_rank(m)
         for seed in range(6):
             m = random_matroid(350 + seed, 6, 3, field, "11/20")
-            assert set(m.circuits_brute()) == matroid_circuits_exhaustive(m)
+            assert set(m.circuits_brute()) == circuits_by_rank(m)
+
+
+def oracle_cases(field):
+    """Random matroids, and K5 to K7 with K7 capped at four faces: over
+    GF(3) and GF(5) they fall on both sides of the walk/search choice."""
+    cases = [(random_matroid(1900 + seed, 5 + seed % 2, 2 + seed % 2, field, "1/2"), None)
+             for seed in range(6)]
+    cases += [(SimplicialMatroid(full_complex(n, 2), field), None) for n in (5, 6)]
+    return cases + [(SimplicialMatroid(full_complex(7, 2), field), 4)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF(3), GF(5), QQ], ids=str)
+def test_enumerator_matches_rank_oracle(field, monkeypatch):
+    used = set()
+    for name, tag in (("_span_supports", "walk"), ("_independent_set_circuits", "search")):
+        real = getattr(matroid, name)
+        monkeypatch.setattr(matroid, name,
+                            lambda *args, real=real, tag=tag: used.add(tag) or real(*args))
+    for m, cap in oracle_cases(field):
+        if cap is None:
+            circuits = circuits_by_rank(m)
+            assert set(m.circuits_brute()) == circuits == matroid_circuits_exhaustive(m)
+            assert matroid_cocircuits_exhaustive(m) == cocircuits_by_rank(m)
+        assert set(m.circuits_brute(max_size=cap or 3)) == circuits_by_rank(m, cap or 3)
+    assert used == ({"walk", "search"} if field.is_finite else {"search"})
+
+
+def cycles_of_complete_graph(n):
+    return sum(comb(n, size) * factorial(size - 1) // 2 for size in range(3, n + 1))
+
+
+def test_full_gf2_families_never_search(monkeypatch):
+    # over GF(2) the span walk, 2^nullity vectors, is never longer than the search
+    def no_search(*args):
+        raise AssertionError("the independent-set search ran")
+
+    monkeypatch.setattr(matroid, "_independent_set_circuits", no_search)
+    for m in [random_matroid(2100 + seed, 6, 2 + seed % 2, GF2, "1/2") for seed in range(6)]:
+        assert set(m.circuits_brute()) == matroid_circuits_exhaustive(m)
+        matroid_cocircuits_exhaustive(m)
+    k6 = SimplicialMatroid(full_complex(6, 2), GF2)
+    assert len(k6.circuits_brute()) == cycles_of_complete_graph(6)
+
+
+def test_k7_over_gf3_takes_the_search():
+    # 3^15 span vectors exceed the 2^21 subsets: the search answers
+    m = SimplicialMatroid(full_complex(7, 2), GF(3))
+    assert len(matroid_circuits_exhaustive(m)) == cycles_of_complete_graph(7)
+
+
+def test_exhaustive_guard_counts_the_chosen_work(monkeypatch):
+    m = SimplicialMatroid(full_complex(5, 2), QQ)    # 10 edges
+    for family in (matroid_circuits_exhaustive, matroid_cocircuits_exhaustive):
+        with pytest.raises(GuardExceeded, match=r"^circuit enumeration over 10 elements needs "
+                                                r"1023 subsets, above the limit of 32$"):
+            family(m, 2 ** 5)
+    m = SimplicialMatroid(full_complex(6, 2), GF(3))     # rank 5: 3^5 row-space vectors
+    with pytest.raises(GuardExceeded, match=r"needs 243 vectors, above the limit of 100$"):
+        matroid_cocircuits_exhaustive(m, 100)
+    # over QQ the default limit of 2^22 admits 22 faces and refuses 23
+    monkeypatch.setattr(matroid, "_independent_set_circuits", lambda *args: set())
+    faces = sorted(full_complex(7, 2).faces_k)
+    for size, admitted in ((22, True), (23, False)):
+        c = build_complex(8, 2, [vertices(f) for f in faces] + [(1, 8), (2, 8)][:size - 21])
+        m = SimplicialMatroid(c, QQ)
+        assert len(m.ground) == size
+        if admitted:
+            assert matroid_circuits_exhaustive(m) == set()
+        else:
+            with pytest.raises(GuardExceeded, match="8388607 subsets"):
+                matroid_circuits_exhaustive(m)
 
 
 def test_circuits_brute_size_cap():
@@ -149,17 +220,17 @@ def test_duality_validation():
 def duality_bases(field, max_span):
     """(basis, pivots) of the row space and of the nullspace of every full
     matroid of the complement-duality acceptance check (4 <= n <= 6), each
-    reduced at its pivots, where p^dim <= max_span."""
+    reduced at its pivots, where p^dim <= max_span.  The row space is the
+    nullspace of the dual columns."""
     for n in range(4, 7):
         for k in range(2, n - 1):
             m = SimplicialMatroid(full_complex(n, k), field)
-            width = len(m.ground)
-            pivots, relations = column_relations([m._cols[f] for f in m.ground], field)
-            nullspace = [dense_column(field, rel, width) for rel in relations.values()]
-            for basis, at in ((echelon_rows(pivots, relations, width, field), pivots),
-                              (nullspace, list(relations))):
+            cols = [m._cols[f] for f in m.ground]
+            for relations in (column_relations(_dual_columns(cols, field), field)[1],
+                              column_relations(cols, field)[1]):
+                basis = [dense_column(field, rel, len(cols)) for rel in relations.values()]
                 if field.p ** len(basis) <= max_span:
-                    yield basis, at
+                    yield basis, list(relations)
 
 
 def random_basis(rng, p, dim, width, reduced):
@@ -181,7 +252,7 @@ def test_minimal_supports_match_pairwise_oracle():
     """Every full matroid of the complement-duality acceptance check."""
     for field, max_span in ((GF2, 1 << 10), (GF(3), 3 ** 10), (GF(5), 5 ** 6)):
         for basis, pivots in duality_bases(field, max_span):
-            supports = _span_supports(basis, field, 1 << 22)
+            supports = _span_supports(basis, field)
             assert supports == span_supports(basis, field.p)
             assert (sorted(_minimal_supports(basis, pivots, supports, field))
                     == sorted(minimal_supports(supports)))
@@ -194,7 +265,7 @@ def test_gray_walk_matches_recursive_oracle(field):
         dim = rng.randrange(7 if field.p == 2 else 5)
         width = max(dim, 1) + rng.randrange(8)
         basis, pivots = random_basis(rng, field.p, dim, width, reduced=trial % 3 > 0)
-        supports = _span_supports(basis, field, 1 << 22)
+        supports = _span_supports(basis, field)
         assert supports == span_supports(basis, field.p)
         if trial % 3 > 0:
             assert (sorted(_minimal_supports(basis, pivots, supports, field))
