@@ -3,7 +3,9 @@
 A complex is determined by its set of k-element faces: every set of
 fewer than k vertices is a face, and a set F with |F| >= k is a face
 exactly when all of its k-element subsets are listed.  Faces are stored
-as integer bitmasks, bit (v - 1) standing for vertex v.
+as integer bitmasks, bit (v - 1) standing for vertex v.  is_face and the
+simplicial-face tests decide a face by spans_face, from the links of
+the (k-1)-sets (HypercliqueComplex.links).
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class HypercliqueComplex:
             return False
         if mask.bit_count() < self.k:
             return True
-        return all(sub in self.faces_k for sub in submasks_of_size(mask, self.k))
+        return spans_face(self.links, self.k, mask)
 
     def skeleton(self, d: int) -> frozenset[int]:
         """All d-element faces.  Empty beyond n; every d-set for d < k."""
@@ -130,6 +132,17 @@ class HypercliqueComplex:
         self._skeletons[d] = result
         return result
 
+    @cached_property
+    def links(self) -> dict[int, int]:
+        """Each (k-1)-set w in some k-face -> its link, the mask of the
+        vertices x with w | {x} a k-face.  Read-only: copy it to change it."""
+        links: dict[int, int] = {}
+        for f in self.faces_k:
+            for b in _bit_positions(f):
+                w = f & ~(1 << b)
+                links[w] = links.get(w, 0) | 1 << b
+        return links
+
     def star(self, v: int) -> frozenset[int]:
         """The k-faces strictly containing v (for |v| = k - 1, the star of v)."""
         return frozenset(f for f in self.faces_k if f & v == v and f != v)
@@ -147,6 +160,20 @@ class HypercliqueComplex:
             maximal.update(level - covered)
             d, level = d + 1, above
         return frozenset(maximal)
+
+
+def spans_face(links: dict[int, int], k: int, mask: int) -> bool:
+    """Is every k-subset of mask a k-face, given the links of the (k-1)-sets?
+
+    A k-subset of mask is w | {x} with x its top vertex, so w is a
+    (k-1)-subset of mask less its top vertex and x any vertex of mask
+    above w; hence all are faces iff each such link holds those vertices.
+    """
+    for w in submasks_of_size(mask & ~(1 << mask.bit_length() - 1), k - 1):
+        top = w.bit_length()
+        if mask >> top << top & ~links.get(w, 0):
+            return False
+    return True
 
 
 def _bit_positions(mask: int) -> Iterator[int]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .complexes import (HypercliqueComplex, all_faces, face_sort_key, submasks_of_size,
+from .complexes import (HypercliqueComplex, face_sort_key, spans_face, submasks_of_size,
                         vertices)
 from .errors import CertificateError
 from .fields import GF2, Field
@@ -26,26 +26,26 @@ def is_simplicial_face(c: HypercliqueComplex, v: int) -> bool:
     """True iff exactly one facet strictly contains the (k-1)-set v.
 
     Decided without enumerating facets: v is simplicial iff the union U
-    of its star is a face; a (k-1)-set with an empty star is a facet in
-    its own right, hence never simplicial.  Such a U is always a facet: a
-    vertex x that extended it would make v | {x} a k-face of the star, so
-    x would already lie in U.
+    of its star, v and its link, is a face; a (k-1)-set with an empty
+    star is a facet in its own right, hence never simplicial.  Such a U is
+    always a facet: a vertex x that extended it would make v | {x} a
+    k-face of the star, so x would already lie in U.
     """
     if v.bit_count() != c.k - 1:
         raise ValueError("simpliciality is defined for (k-1)-element faces")
     if v & ~((1 << c.n) - 1):
         raise ValueError("vertex out of range")
-    st = c.star(v)
-    if not st:
-        return False
-    union = v
-    for f in st:
-        union |= f
-    return c.is_face(union)
+    return _simplicial(c.links, c.k, v)
+
+
+def _simplicial(links: dict[int, int], k: int, v: int) -> bool:
+    """is_simplicial_face from the links alone, with v unchecked."""
+    link = links.get(v, 0)
+    return link != 0 and spans_face(links, k, v | link)
 
 
 def simplicial_faces(c: HypercliqueComplex) -> list[int]:
-    return [v for v in all_faces(c.n, c.k - 1) if is_simplicial_face(c, v)]
+    return sorted((v for v in c.links if _simplicial(c.links, c.k, v)), key=face_sort_key)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def _verify_dperfect(m: SimplicialMatroid, cert: DPerfectCertificate) -> None:
 
 class _ResidualIndex:
     """A complex being peeled, indexed for the peel search and updated in
-    place: the live k-faces, the live star of each (k-1)-set, and the set
-    of simplicial (k-1)-sets, those whose star is non-empty with a face as
-    its union.
+    place: the live k-faces, a copy of the complex's links kept to the
+    live faces, and the set of simplicial (k-1)-sets, those whose star is
+    non-empty with a face as its union.
 
     Peeling v with star S can change the status only of the (k-1)-subsets
     of the facet U = v | union(S), so only those are rechecked, and undo
@@ -150,54 +150,41 @@ class _ResidualIndex:
     """
 
     def __init__(self, c: HypercliqueComplex):
-        self.k = k = c.k
+        self.k = c.k
         self.live = set(c.faces_k)
-        self._ridges = {f: tuple(submasks_of_size(f, k - 1)) for f in self.live}
-        self.star: dict[int, set[int]] = {}
-        for f, rs in self._ridges.items():
-            for u in rs:
-                self.star.setdefault(u, set()).add(f)
-        self._key = {u: face_sort_key(u) for u in self.star}
+        self.links = dict(c.links)
+        self._key = {u: face_sort_key(u) for u in self.links}
         self._subsets = cache(lambda mask, r: tuple(submasks_of_size(mask, r)))
-        self.simplicial = {u for u in self.star if self._is_simplicial(u)}
+        self.simplicial = {u for u in self.links if _simplicial(self.links, self.k, u)}
         self._trail: list[tuple[frozenset[int], tuple[int, ...], set[int]]] = []
-
-    def _is_simplicial(self, u: int) -> bool:
-        st = self.star[u]
-        if not st:
-            return False
-        union = u
-        for f in st:
-            union |= f
-        return self.live.issuperset(self._subsets(union, self.k))
 
     def candidates(self) -> list[int]:
         """The simplicial (k-1)-sets in lexicographic order."""
         return sorted(self.simplicial, key=self._key.__getitem__)
 
+    def _toggle(self, st: frozenset[int]) -> None:
+        """Remove the faces of st, all live, or put them back, all peeled:
+        each flips its own bit in the link of each of its (k-1)-subsets."""
+        self.live.symmetric_difference_update(st)
+        for f in st:
+            for u in self._subsets(f, self.k - 1):
+                self.links[u] ^= f ^ u
+
     def peel(self, v: int) -> frozenset[int]:
         """Remove the star of the simplicial (k-1)-set v and return it."""
-        st = frozenset(self.star[v])
-        union = v
-        for f in st:
-            union |= f
-        self.live.difference_update(st)
-        for f in st:
-            for u in self._ridges[f]:
-                self.star[u].discard(f)
-        touched = self._subsets(union, self.k - 1)
+        link = self.links[v]
+        st = frozenset(v | 1 << b for b in range(link.bit_length()) if link >> b & 1)
+        self._toggle(st)
+        touched = self._subsets(v | link, self.k - 1)
         self._trail.append((st, touched, self.simplicial.intersection(touched)))
         self.simplicial.difference_update(touched)
-        self.simplicial.update(u for u in touched if self._is_simplicial(u))
+        self.simplicial.update(u for u in touched if _simplicial(self.links, self.k, u))
         return st
 
     def undo(self) -> None:
         """Put back the star the latest peel removed."""
         st, touched, saved = self._trail.pop()
-        self.live.update(st)
-        for f in st:
-            for u in self._ridges[f]:
-                self.star[u].add(f)
+        self._toggle(st)
         self.simplicial.difference_update(touched)
         self.simplicial.update(saved)
 
@@ -210,30 +197,34 @@ def _peel_search(c: HypercliqueComplex) -> list[tuple[int, frozenset[int]]] | No
     dead-end unless every dive does.  For k > 2 the search backtracks,
     remembering the residuals that have no complete peel.  Candidates are
     tried in lexicographic order, as simplicial_faces lists them; the
-    residual is a _ResidualIndex, peeled and restored in place.
+    residual is a _ResidualIndex, peeled and restored in place.  The dive
+    keeps its own stack, one iterator of untried candidates per residual
+    on it, so its depth, the rank, is not bounded by Python's recursion
+    limit.  A residual is added to the memo when its iterator runs out, at
+    which point the index holds it again.
     """
     index = _ResidualIndex(c)
     failed: set[frozenset[int]] = set()
     acc: list[tuple[int, frozenset[int]]] = []
-
-    def dfs() -> bool:
-        if not index.live:
-            return True
-        residual = frozenset(index.live)
-        if residual in failed:
-            return False
-        for v in index.candidates():
-            acc.append((v, index.peel(v)))
-            if dfs():
-                return True
+    untried: list[Iterator[int]] = []       # untried[i] belongs to the residual before acc[i]
+    while index.live:
+        if failed and frozenset(index.live) in failed:
             acc.pop()
             index.undo()
-            if c.k == 2:
-                break
-        failed.add(residual)
-        return False
-
-    return acc if dfs() else None
+        else:
+            candidates = index.candidates()
+            untried.append(iter(candidates[:1] if c.k == 2 else candidates))
+        v = next(untried[-1], None)
+        while v is None:
+            untried.pop()
+            failed.add(frozenset(index.live))
+            if not untried:
+                return None
+            acc.pop()
+            index.undo()
+            v = next(untried[-1], None)
+        acc.append((v, index.peel(v)))
+    return acc
 
 
 def _peel(m: SimplicialMatroid) -> DPerfectCertificate | None:

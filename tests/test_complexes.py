@@ -70,7 +70,12 @@ def test_submasks_of_size():
 
 
 def test_is_face_and_skeleton_against_brute():
-    for c in small_instances(12, 6, 2, 300) + small_instances(12, 6, 3, 350):
+    complexes = (small_instances(12, 6, 2, 300) + small_instances(12, 6, 3, 350)
+                 + small_instances(6, 7, 4, 370, "3/5")
+                 + [build_complex(9, 3, stacked_faces(9, 3, s)) for s in range(3)]
+                 # {3, 5} and every pair with 6 lie in no 3-face
+                 + [build_complex(6, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)])])
+    for c in complexes:
         expected = brute_faces(c)
         for size in range(1, c.n + 1):
             level = {f for f in expected if f.bit_count() == size}

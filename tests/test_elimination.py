@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from functools import cache
 
 import pytest
@@ -12,7 +13,7 @@ from oracles import (brute_facets, forward_verify_peel, peel_step_checker,
 from simatroid import (CertificateError, DPerfectCertificate, GF, GF2, HypercliqueComplex, QQ,
                       SimplicialMatroid, SuperdenseCertificate, build_complex,
                       check_basic_linear_sequence, check_chordal_graph, check_superdense,
-                      check_supersolvable, face, find_dperfect_sequence, gen_random,
+                      check_supersolvable, face, find_dperfect_sequence, full_complex, gen_random,
                       instance_complex, is_simplicial_face, simplicial_faces, verify_dperfect,
                       verify_superdense, vertices)
 from simatroid.complexes import all_faces
@@ -152,7 +153,7 @@ def test_reverse_verifier_accepts_what_forward_oracle_accepts(field):
 
 def test_residual_index_matches_a_fresh_complex():
     """Random walks of peels and undos: after every move the index's
-    stars and simplicial sets are those of a complex built afresh from
+    links and simplicial sets are those of a complex built afresh from
     its live faces, so rechecking only the subsets of the peeled facet,
     and restoring them on undo, loses nothing."""
     rng = random.Random(9)
@@ -161,6 +162,7 @@ def test_residual_index_matches_a_fresh_complex():
                  + [build_complex(12, 3, stacked_faces(12, 3, 6)),
                     build_complex(9, 3, EXAMPLE3_TRIPLES)])
     for c in complexes:
+        links = dict(c.links)
         index = _ResidualIndex(c)
         peeled = []
         for _ in range(30):
@@ -173,7 +175,24 @@ def test_residual_index_matches_a_fresh_complex():
             comp = HypercliqueComplex(c.n, c.k, index.live)
             assert index.live == c.faces_k.difference(*peeled)
             assert index.candidates() == simplicial_faces(comp)
-            assert all(index.star[u] == comp.star(u) for u in index.star)
+            assert {u: link for u, link in index.links.items() if link} == comp.links
+        assert c.links == links, "the complex's own links are never changed"
+
+
+def test_peel_depth_is_not_bounded_by_the_recursion_limit():
+    """full(22, 3) peels in 210 steps, more than the 60 frames a lowered
+    recursion limit leaves, so a search that recursed once per step would
+    raise RecursionError."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        cert = find_dperfect_sequence(full_complex(22, 3), GF2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(cert) == 210
 
 
 def test_verify_dperfect_rejects_corruption():
