@@ -3,9 +3,11 @@
 A complex is determined by its set of k-element faces: every set of
 fewer than k vertices is a face, and a set F with |F| >= k is a face
 exactly when all of its k-element subsets are listed.  Faces are stored
-as integer bitmasks, bit (v - 1) standing for vertex v.  is_face and the
-simplicial-face tests decide a face by spans_face, from the links of
-the (k-1)-sets (HypercliqueComplex.links).
+as integer bitmasks, bit (v - 1) standing for vertex v.  Faces are
+decided from the links of the (k-1)-sets (HypercliqueComplex.links)
+alone: is_face and the simplicial-face tests decide one mask by
+spans_face, and the skeleton levels from k up and the facets come from
+one walk that extends each face by the vertices of its links.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class HypercliqueComplex:
                 raise ValueError(f"face {vertices(m)} does not have {k} vertices")
             masks.add(m)
         self.faces_k: frozenset[int] = frozenset(masks)
-        self._skeletons: dict[int, frozenset[int]] = {k: self.faces_k}
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, HypercliqueComplex) and self.n == other.n
@@ -115,22 +116,9 @@ class HypercliqueComplex:
             raise ValueError(f"skeleton dimension must be >= 1, got {d}")
         if d > self.n:
             return frozenset()
-        if d in self._skeletons:
-            return self._skeletons[d]
         if d < self.k:
-            result = frozenset(all_faces(self.n, d))
-        else:
-            # grow upward: a (d)-set is a face iff all its (d-1)-subsets are
-            below = self.skeleton(d - 1)
-            result_set = set()
-            for g in below:
-                for i in range(g.bit_length(), self.n):
-                    cand = g | (1 << i)
-                    if all(cand & ~(1 << b) in below for b in _bit_positions(cand)):
-                        result_set.add(cand)
-            result = frozenset(result_set)
-        self._skeletons[d] = result
-        return result
+            return frozenset(all_faces(self.n, d))
+        return frozenset(g for g, _ in self._walk(d) if g.bit_count() == d)
 
     @cached_property
     def links(self) -> dict[int, int]:
@@ -149,17 +137,36 @@ class HypercliqueComplex:
 
     @cached_property
     def facets(self) -> frozenset[int]:
-        """All maximal faces: for each d >= k - 1, the d-faces that no
-        (d+1)-face covers, up to the first empty level.  Level k - 1 holds
-        every (k-1)-set, so those in no k-face come out as facets too."""
-        maximal: set[int] = set()
-        d, level = self.k - 1, self.skeleton(self.k - 1)
-        while level:
-            above = self.skeleton(d + 1)
-            covered = {g & ~(1 << b) for g in above for b in _bit_positions(g)}
-            maximal.update(level - covered)
-            d, level = d + 1, above
-        return frozenset(maximal)
+        """All maximal faces: the walked faces that no vertex extends, and
+        the (k-1)-sets in no k-face.  Every smaller set lies in one of those."""
+        return frozenset([g for g, ext in self._walk(self.n) if not ext]
+                         + [w for w in all_faces(self.n, self.k - 1) if w not in self.links])
+
+    def _walk(self, size: int) -> Iterator[tuple[int, int]]:
+        """Each face g of k - 1 to size vertices, bar the (k-1)-sets in no
+        k-face, with ext(g), the mask of the vertices x with g | {x} a face.
+
+        The walk starts at each (k-1)-set w in links, with ext(w) the link
+        of w, and extends a face g only by the vertices x of ext(g) above
+        its top vertex, so it reaches each face once, from its k - 1 lowest
+        vertices.  ext(g | {x}) is ext(g) AND the links of u | {x} for every
+        (k-2)-subset u of g: the k-subsets of g | {x, y} that are not in
+        g | {x} or g | {y} are the sets u | {x, y}.  No link holds a vertex
+        of its own set, so the AND drops x.
+        """
+        links, k = self.links, self.k
+        stack = list(links.items())
+        while stack:
+            g, ext = stack.pop()
+            yield g, ext
+            up = ext >> g.bit_length() << g.bit_length()
+            if up and g.bit_count() < size:
+                subs = list(submasks_of_size(g, k - 2))
+                for x in _bit_positions(up):
+                    bit, e = 1 << x, ext
+                    for u in subs:
+                        e &= links[u | bit]
+                    stack.append((g | bit, e))
 
 
 def spans_face(links: dict[int, int], k: int, mask: int) -> bool:

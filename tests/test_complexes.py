@@ -69,21 +69,39 @@ def test_submasks_of_size():
     assert got == sorted([face(1, 3), face(1, 4), face(3, 4)])
 
 
+def face_test_complexes():
+    return (small_instances(12, 6, 2, 300) + small_instances(12, 6, 3, 350)
+            + small_instances(6, 7, 4, 370, "3/5")
+            + [build_complex(9, 3, stacked_faces(9, 3, s)) for s in range(3)]
+            # {3, 5} and every pair with 6 lie in no 3-face
+            + [build_complex(6, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)])])
+
+
 def test_is_face_and_skeleton_against_brute():
-    complexes = (small_instances(12, 6, 2, 300) + small_instances(12, 6, 3, 350)
-                 + small_instances(6, 7, 4, 370, "3/5")
-                 + [build_complex(9, 3, stacked_faces(9, 3, s)) for s in range(3)]
-                 # {3, 5} and every pair with 6 lie in no 3-face
-                 + [build_complex(6, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)])])
-    for c in complexes:
+    for c in face_test_complexes():
         expected = brute_faces(c)
-        for size in range(1, c.n + 1):
+        for size in range(1, c.n + 2):
             level = {f for f in expected if f.bit_count() == size}
             assert c.skeleton(size) == level
         for combo_size in range(1, c.n + 1):
             for combo in itertools.combinations(range(1, c.n + 1), combo_size):
                 m = face_of(combo)
                 assert c.is_face(m) == (m in expected)
+
+
+def test_walk_reaches_each_face_once():
+    """Cut at size d, the walk yields each face of k - 1 to d vertices, bar
+    the (k-1)-sets in no k-face, exactly once, with its extension mask."""
+    for c in face_test_complexes() + [build_complex(12, 3, stacked_faces(12, 3, s))
+                                      for s in range(3)]:
+        faces = brute_faces(c)
+        ext = {f: sum(1 << i for i in range(c.n) if f | 1 << i in faces and not f >> i & 1)
+               for f in faces}
+        walked = [(f, ext[f]) for f in faces
+                  if f.bit_count() >= c.k or f.bit_count() == c.k - 1 and ext[f]]
+        for d in range(c.k - 1, c.n + 2):
+            got = list(c._walk(d))  # a list, so a face reached twice shows
+            assert sorted(got) == sorted(fe for fe in walked if fe[0].bit_count() <= d), (c, d)
 
 
 def test_facets_against_brute():
